@@ -29,22 +29,32 @@ from .search import default_seen_cap, enumerate_indsat, isat_min, isat_min_naive
 def _load_pattern(args) -> PatternGraph:
     if getattr(args, "pattern_file", None):
         text = Path(args.pattern_file).read_text(encoding="utf-8")
-        lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
-        head = lines[0].split()
+        lines = [(no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(text.splitlines(), 1)]
+        lines = [(no, ln) for no, ln in lines if ln]
+        if not lines:
+            raise ValueError("empty pattern file")
+        head = lines[0][1].split()
         if len(head) != 2 or head[0] != "pattern":
-            raise ValueError(f"bad pattern header: {lines[0]!r}")
+            raise ValueError(f"bad pattern header: {lines[0][1]!r}")
         k = int(head[1])
-        edges = []
-        for ln in lines[1:]:
-            u, v = ln.split()
-            edges.append((int(u), int(v)))
+        edges: dict[tuple[int, int], int] = {}  # edge -> line it is on
+        for no, ln in lines[1:]:
+            u, v = sorted(int(x) for x in ln.split())
+            if (u, v) in edges:
+                raise ValueError(f"line {no}: duplicate edge {ln!r} (first on line {edges[u, v]})")
+            edges[u, v] = no
         return from_edges(k, edges)
     return parse_pattern_id(args.pattern)
 
 
+def _pattern_label(args) -> str:
+    if getattr(args, "pattern_file", None):
+        return f"file:{args.pattern_file}"
+    return args.pattern
+
+
 def _pattern_inputs(args) -> dict:
-    out = {"pattern": args.pattern}
+    out = {"pattern": _pattern_label(args)}
     if getattr(args, "pattern_file", None):
         out["pattern_file"] = args.pattern_file
     return out
@@ -93,7 +103,7 @@ def _cmd_search(args) -> int:
     started = time.perf_counter()
     h = _load_pattern(args)
     if args.naive:
-        res = isat_min_naive(args.n, h, label=args.pattern)
+        res = isat_min_naive(args.n, h, label=_pattern_label(args))
     else:
         res = isat_min(
             args.n,
@@ -101,7 +111,7 @@ def _cmd_search(args) -> int:
             k_max=args.kmax,
             workers=args.workers,
             seen_cap=default_seen_cap(),
-            label=args.pattern,
+            label=_pattern_label(args),
         )
     _emit_report(
         args,

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import ResourceLimitError
-from .patterns import PatternGraph, is_path4, isomorphic
+from .patterns import PatternGraph, anchor_pair_orbits, is_path4, isomorphic
 from .trigraph import (
     BLACK,
     GRAY,
@@ -256,16 +256,21 @@ def _find_injection(t: Trigraph, h: PatternGraph) -> Optional[tuple[int, ...]]:
 
 
 def _find_injection_through(
-    t: Trigraph, h: PatternGraph, x: int, y: int
+    bg: list[int], wg: list[int], n: int, h: PatternGraph, x: int, y: int
 ) -> Optional[tuple[int, ...]]:
-    """Injection whose image contains x and y (both pair roles allowed)."""
-    if h.k > t.n:
+    """Injection whose image contains x and y (both pair roles allowed).
+
+    Works on the compatibility masks alone, so a caller checking many
+    flips builds the masks once and, per flip, sets the pair's two
+    symmetric bits before the call and clears them after it.  The
+    generic search anchors one ordered pattern pair per Aut(h)-orbit.
+    """
+    if h.k > n:
         return None
-    bg, wg = _compat_masks(t)
     if is_path4(h):
-        return _find_p4_through(bg, wg, t.n, x, y)
-    for hi, hj in permutations(range(h.k), 2):
-        found = _find_generic(bg, wg, t.n, h, anchors={hi: x, hj: y})
+        return _find_p4_through(bg, wg, n, x, y)
+    for hi, hj in anchor_pair_orbits(h):
+        found = _find_generic(bg, wg, n, h, anchors={hi: x, hj: y})
         if found is not None:
             return found
     return None

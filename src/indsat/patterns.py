@@ -132,6 +132,29 @@ def is_path4(h: PatternGraph) -> bool:
 
 
 @lru_cache(maxsize=None)
+def anchor_pair_orbits(h: PatternGraph) -> tuple[tuple[int, int], ...]:
+    """One ordered pair of distinct vertices per orbit of Aut(h), in lexicographic order.
+
+    Anchoring the pair (a, b) on trigraph vertices (x, y) is enough for
+    every pair in its orbit: if f is an injection with f(a) = x and
+    f(b) = y and s is an automorphism, then f composed with s^-1 is an
+    injection with s(a) -> x and s(b) -> y, and vice versa.
+    """
+    autos = [
+        perm
+        for perm in permutations(range(h.k))
+        if all(h.has_edge(u, v) == h.has_edge(perm[u], perm[v]) for u, v in all_pairs(h.k))
+    ]
+    reps: list[tuple[int, int]] = []
+    covered: set[tuple[int, int]] = set()
+    for a, b in permutations(range(h.k), 2):
+        if (a, b) not in covered:
+            reps.append((a, b))
+            covered.update((perm[a], perm[b]) for perm in autos)
+    return tuple(reps)
+
+
+@lru_cache(maxsize=None)
 def is_self_complementary(h: PatternGraph) -> bool:
     return isomorphic(h, h.complement())
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
+from . import detect
 from .detect import (
     Embedding,
     _embedding_from,
@@ -57,19 +58,28 @@ def flips_all_create(
 
     Assumes condition (a) holds for t, which makes it sound to search
     only injections through the flipped pair: any witness avoiding it
-    would already be a witness in t.  Returns (first failing pair or
-    None, witness map if collect).
+    would already be a witness in t.  The compatibility masks are built
+    once; each flip sets the pair's two symmetric bits (in wg for a black
+    pair, in bg for a white one), searches, and clears them again.
+    Returns (first failing pair or None, witness map if collect).
     """
     witnesses: Optional[dict[tuple[int, int], Embedding]] = {} if collect else None
+    # looked up on the module so that one patch point sees every mask build
+    bg, wg = detect._compat_masks(t)
     nongray = ((1 << pair_count(t.n)) - 1) & ~t.gray
     for i in _bits(nongray):
         u, v = index_pair(i)
-        flipped = t.flip(u, v)
-        images = _find_injection_through(flipped, h, u, v)
+        # the bit is clear before the flip, so xor sets it and then clears it
+        side = wg if t.black >> i & 1 else bg
+        side[u] ^= 1 << v
+        side[v] ^= 1 << u
+        images = _find_injection_through(bg, wg, t.n, h, u, v)
+        side[u] ^= 1 << v
+        side[v] ^= 1 << u
         if images is None:
             return (u, v), witnesses
         if collect:
-            witnesses[(u, v)] = _embedding_from(flipped, h, images)
+            witnesses[(u, v)] = _embedding_from(t.flip(u, v), h, images)
     return None, witnesses
 
 

@@ -170,6 +170,42 @@ def test_pattern_file(capsys, tmp_path):
     assert report["inputs"]["pattern_file"] == str(pat)
 
 
+def test_pattern_file_run_is_labelled_by_file(capsys, tmp_path):
+    pat = tmp_path / "p3.pat"
+    pat.write_text("pattern 3\n0 1\n1 2\n", encoding="utf-8")
+    label = f"file:{pat}"
+    _, report, _ = run_json(capsys, "search", "--n", "3", "--pattern-file", str(pat))
+    assert report["inputs"]["pattern"] == label
+    assert report["result"]["pattern"] == label
+    _, naive, _ = run_json(capsys, "search", "--n", "3", "--pattern-file", str(pat), "--naive")
+    assert naive["result"]["pattern"] == label
+
+    tri_path = tmp_path / "t4.tri"
+    tri_path.write_text("trigraph 4\n", encoding="utf-8")
+    _, verify, _ = run_json(capsys, "verify", "--file", str(tri_path), "--pattern-file", str(pat))
+    assert verify["inputs"]["pattern"] == label
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "error: empty pattern file"),
+        ("# only a comment\n\n", "error: empty pattern file"),
+        ("pattern 3\n0 1\n1 2\n1 0\n", "error: line 4: duplicate edge '1 0' (first on line 2)"),
+    ],
+    ids=["empty", "comments-only", "duplicate-edge"],
+)
+def test_bad_pattern_file_is_one_line_error(capsys, tmp_path, text, message):
+    pat = tmp_path / "bad.pat"
+    pat.write_text(text, encoding="utf-8")
+    tri_path = tmp_path / "t4.tri"
+    tri_path.write_text("trigraph 4\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--file", str(tri_path), "--pattern-file", str(pat))
+    assert code == 1
+    assert out == ""
+    assert err == message + "\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search"])  # missing required --n

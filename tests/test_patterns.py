@@ -8,6 +8,7 @@ from indsat.patterns import (
     P3,
     P4,
     PatternGraph,
+    anchor_pair_orbits,
     complete_graph,
     complete_minus_edge,
     cycle_graph,
@@ -110,3 +111,14 @@ def test_placements_literal_balance_generic():
         for pos, neg in induced_placements(5, h):
             assert pos.bit_count() == h.edge_count()
             assert neg.bit_count() == pair_count(h.k) - h.edge_count()
+
+
+def test_anchor_pair_orbits():
+    # one representative per Aut(h)-orbit of ordered vertex pairs, worked by hand
+    assert anchor_pair_orbits(K3) == ((0, 1),)
+    assert anchor_pair_orbits(complete_graph(4)) == ((0, 1),)
+    assert anchor_pair_orbits(C4) == ((0, 1), (0, 2))  # adjacent, opposite
+    assert anchor_pair_orbits(P3) == ((0, 1), (0, 2), (1, 0))  # reversal only
+    assert anchor_pair_orbits(P4) == ((0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3))
+    # K5 minus {0, 1}: Aut swaps 0 and 1 and permutes 2, 3, 4
+    assert anchor_pair_orbits(complete_minus_edge(5)) == ((0, 1), (0, 2), (2, 0), (2, 3))

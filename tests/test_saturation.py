@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from indsat.detect import embedding_is_valid, has_realization_of
-from indsat.patterns import P4, complete_minus_edge
+import indsat.detect
+from indsat.constructions import construct_tn
+from indsat.detect import embedding_is_valid, has_realization_brute, has_realization_of
+from indsat.patterns import C4, K3, P3, P4, complete_graph, complete_minus_edge
 from indsat.saturation import (
     GrayShape,
     classify_gray_components,
@@ -22,13 +25,75 @@ from indsat.trigraph import (
 from conftest import all_trigraphs, trigraphs
 
 
+ORACLE_PATTERNS = (P3, K3, P4, C4, complete_graph(4))
+
+
 def all_black(n):
     return Trigraph(n, (1 << pair_count(n)) - 1, 0)
 
 
-def test_layered_construction_is_saturated_small():
-    from indsat.constructions import construct_tn
+def gray_star(n):
+    """Gray star centred at 0 on all n vertices, leaves pairwise white: K3-saturated."""
+    return from_pairs(n, gray=[(0, v) for v in range(1, n)])
 
+
+def brute_report(t, h):
+    """(holds_free, failing_flip) from Trigraph.flip and the brute realization oracle."""
+    if has_realization_brute(t, h):
+        return False, None
+    for u, v in all_pairs(t.n):
+        if t.color(u, v) is not GRAY and not has_realization_brute(t.flip(u, v), h):
+            return True, (u, v)
+    return True, None
+
+
+def test_flip_loop_matches_brute_oracle_exhaustive_n4():
+    # a bit left set after one flip would leak into the later flips
+    for h in ORACLE_PATTERNS:
+        for n in range(2, 5):
+            for t in all_trigraphs(n):
+                rep = is_indsat(t, h)
+                assert (rep.holds_free, rep.failing_flip) == brute_report(t, h), (h, t)
+
+
+@st.composite
+def sparse_or_dense_trigraphs(draw, min_n=5, max_n=6):
+    """About 1/4 black and 1/8 gray, or the complement: most are free of small patterns."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = st.integers(0, (1 << pair_count(n)) - 1)
+    black = draw(pairs) & draw(pairs)
+    gray = draw(pairs) & draw(pairs) & draw(pairs) & ~black
+    t = Trigraph(n, black, gray)
+    return t.complement() if draw(st.booleans()) else t
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sparse_or_dense_trigraphs().filter(lambda t: t.gray_count <= 12),
+    st.sampled_from(ORACLE_PATTERNS),
+)
+def test_flip_loop_matches_brute_oracle_sampled(t, h):
+    rep = is_indsat(t, h)
+    assert (rep.holds_free, rep.failing_flip) == brute_report(t, h)
+
+
+def test_flip_loop_builds_compat_masks_once(monkeypatch):
+    calls = []
+    real = indsat.detect._compat_masks
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(indsat.detect, "_compat_masks", counting)
+    # once for condition (a) and once for the flip loop, however many flips
+    for t, h in ((construct_tn(40)[0], P4), (gray_star(40), K3)):
+        calls.clear()
+        assert is_indsat(t, h).is_indsat
+        assert len(calls) <= 2, (h, len(calls))
+
+
+def test_layered_construction_is_saturated_small():
     for n in range(4, 11):
         t, _ = construct_tn(n)
         rep = is_indsat(t, P4)
@@ -91,17 +156,15 @@ def test_report_invariant(t):
 
 
 def test_witness_flips_on_demand():
-    from indsat.constructions import construct_tn
-
-    t, _ = construct_tn(5)
-    rep = is_indsat(t, P4, want_witnesses=True)
-    assert rep.is_indsat
-    nongray = [(u, v) for u, v in all_pairs(5) if t.color(u, v) is not GRAY]
-    assert sorted(rep.witness_flips) == sorted(nongray)
-    for (u, v), emb in rep.witness_flips.items():
-        flipped = t.flip(u, v)
-        assert embedding_is_valid(flipped, P4, emb)
-        assert {u, v} <= set(emb.vertices)
+    for t, h in ((construct_tn(5)[0], P4), (gray_star(5), K3)):
+        rep = is_indsat(t, h, want_witnesses=True)
+        assert rep.is_indsat
+        nongray = [(u, v) for u, v in all_pairs(t.n) if t.color(u, v) is not GRAY]
+        assert sorted(rep.witness_flips) == sorted(nongray)
+        for (u, v), emb in rep.witness_flips.items():
+            flipped = t.flip(u, v)
+            assert embedding_is_valid(flipped, h, emb)
+            assert {u, v} <= set(emb.vertices)
 
 
 def test_to_dict_schema():
