@@ -33,13 +33,17 @@ def _load_pattern(args) -> PatternGraph:
         lines = [(no, ln) for no, ln in lines if ln]
         if not lines:
             raise ValueError("empty pattern file")
-        head = lines[0][1].split()
-        if len(head) != 2 or head[0] != "pattern":
-            raise ValueError(f"bad pattern header: {lines[0][1]!r}")
+        head_no, head_ln = lines[0]
+        head = head_ln.split()
+        if len(head) != 2 or head[0] != "pattern" or not head[1].isdecimal():
+            raise ValueError(f"line {head_no}: bad pattern header {head_ln!r}")
         k = int(head[1])
         edges: dict[tuple[int, int], int] = {}  # edge -> line it is on
         for no, ln in lines[1:]:
-            u, v = sorted(int(x) for x in ln.split())
+            ends = ln.split()
+            if len(ends) != 2 or not all(x.isdecimal() for x in ends):
+                raise ValueError(f"line {no}: bad edge line {ln!r} (want two vertex numbers)")
+            u, v = sorted(int(x) for x in ends)
             if (u, v) in edges:
                 raise ValueError(f"line {no}: duplicate edge {ln!r} (first on line {edges[u, v]})")
             edges[u, v] = no

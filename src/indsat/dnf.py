@@ -9,8 +9,13 @@ induced saturation of trigraphs: black=true, white=false, gray=free.
 Because a DNF clause never repeats a variable, a completion satisfying
 a clause exists iff the current assignment falsifies none of its
 literals; this clause-local check is exact and mirrors the per-pair
-locality of realization detection.  An explicit 2^u completion sweep is
-kept as the independent oracle.
+locality of realization detection.  ``is_saturated`` applies it to one
+assignment.  ``min_unassigned`` applies it to every assignment of a free
+set at once, as a numpy kernel over an array of true-masks: a screen
+that grows the array one assigned variable at a time and drops the rows
+leaving a clause completable, then a coverage pass on the survivors.
+An explicit 2^u completion sweep (``is_saturated_brute``) is kept as
+the independent oracle.
 
 The minimization objective min_unassigned mirrors the trigraph
 minimum-gray objective; it is this artifact's framing, not a standard
@@ -21,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .errors import ResourceLimitError
 from .patterns import PatternGraph, induced_placements
@@ -200,11 +207,45 @@ def is_saturated_brute(f: DnfFormula, a: PartialAssignment, cap: int = COMPLETIO
     )
 
 
+def _saturated_true_masks(f: DnfFormula, free_mask: int) -> np.ndarray:
+    """True-masks of the saturated assignments whose unassigned set is free_mask.
+
+    Screen: the array of true-masks grows one assigned variable at a time,
+    and after placing v the rows that leave some clause completable are
+    dropped, for the clauses whose highest assigned variable is v.  The
+    assigned part of a clause is completable iff its falsified set
+    ``(true & mask) ^ pos`` is empty.  Coverage: each surviving row is
+    saturated iff every assigned variable is the only falsified literal of
+    some clause.
+    """
+    assigned = ((1 << f.m) - 1) & ~free_mask
+    by_top: dict[int, list[tuple[int, int]]] = {}
+    for pos, neg in f.clauses:
+        mask = (pos | neg) & assigned
+        if not mask:
+            return np.empty(0, dtype=np.int64)  # completable under every assignment
+        by_top.setdefault(mask.bit_length() - 1, []).append((mask, pos & assigned))
+    true = np.zeros(1, dtype=np.int64)
+    for v in _bits(assigned):
+        true = np.concatenate((true, true | np.int64(1 << v)))
+        for mask, pos in by_top.get(v, ()):
+            true = true[(true & mask) != pos]
+    covered = np.zeros_like(true)
+    for clauses in by_top.values():
+        for mask, pos in clauses:
+            falsified = (true & mask) ^ pos
+            covered |= np.where(falsified & (falsified - 1) == 0, falsified, 0)
+    return true[covered == assigned]
+
+
 def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
     """Least unassigned count over saturated assignments; None if none up to cap.
 
-    Plain ascending-cardinality sweep with no symmetry reduction: generic
-    formulas carry no vertex-permutation group to exploit.
+    Free sets are taken in ascending size, and each is decided at once over
+    all its assignments by the numpy screen-then-coverage kernel
+    (``_saturated_true_masks``), which agrees with ``is_saturated`` row by
+    row.  No symmetry reduction: generic formulas carry no
+    vertex-permutation group to exploit.
     """
     if f.m > MIN_UNASSIGNED_MAX_VARS:
         raise ResourceLimitError(
@@ -212,21 +253,10 @@ def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
         )
     if cap is None:
         cap = f.m
-    full = (1 << f.m) - 1
     for u in range(min(cap, f.m) + 1):
         for free in combinations(range(f.m), u):
-            free_mask = 0
-            for i in free:
-                free_mask |= 1 << i
-            assigned = [i for i in range(f.m) if not free_mask >> i & 1]
-            for choice in range(1 << len(assigned)):
-                true = 0
-                for j, i in enumerate(assigned):
-                    if choice >> j & 1:
-                        true |= 1 << i
-                a = PartialAssignment(f.m, true, full & ~free_mask & ~true)
-                if is_saturated(f, a):
-                    return u
+            if _saturated_true_masks(f, sum(1 << i for i in free)).size:
+                return u
     return None
 
 

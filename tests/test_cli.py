@@ -192,8 +192,13 @@ def test_pattern_file_run_is_labelled_by_file(capsys, tmp_path):
         ("", "error: empty pattern file"),
         ("# only a comment\n\n", "error: empty pattern file"),
         ("pattern 3\n0 1\n1 2\n1 0\n", "error: line 4: duplicate edge '1 0' (first on line 2)"),
+        ("pattern x\n0 1\n", "error: line 1: bad pattern header 'pattern x'"),
+        ("pattern 3\n0 a\n", "error: line 2: bad edge line '0 a' (want two vertex numbers)"),
+        ("pattern 3\n0 1\n# c\n0 1 2\n", "error: line 4: bad edge line '0 1 2' (want two vertex numbers)"),
+        ("pattern 3\n\n2\n", "error: line 3: bad edge line '2' (want two vertex numbers)"),
     ],
-    ids=["empty", "comments-only", "duplicate-edge"],
+    ids=["empty", "comments-only", "duplicate-edge", "bad-count", "non-numeric", "three-numbers",
+         "single-number"],
 )
 def test_bad_pattern_file_is_one_line_error(capsys, tmp_path, text, message):
     pat = tmp_path / "bad.pat"

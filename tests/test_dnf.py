@@ -1,9 +1,12 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import indsat.dnf as dnf
-from indsat.constructions import construct_tn
+from indsat.constructions import construct_tn, isat_formula, parse_family
 from indsat.errors import ResourceLimitError
 from indsat.patterns import K3, P4
 from indsat.saturation import is_indsat
@@ -121,6 +124,70 @@ def test_min_unassigned_values():
     assert dnf.min_unassigned(dnf.encode_pattern(4, P4), 6) == 2
     assert dnf.min_unassigned(dnf.encode_pattern(3, K3), 3) == 2
     assert dnf.min_unassigned(dnf.encode_pattern(4, P4), 1) is None  # cap below answer
+
+
+@st.composite
+def formulas(draw, max_m):
+    """Random formulas: each clause a nonempty support split into signs."""
+    m = draw(st.integers(0, max_m))
+    clauses = set()
+    if m:
+        for support, signs in draw(st.lists(
+            st.tuples(st.integers(1, (1 << m) - 1), st.integers(0, (1 << m) - 1)), max_size=8
+        )):
+            clauses.add((support & signs, support & ~signs))
+    return dnf.DnfFormula(m, tuple(sorted(clauses)))
+
+
+def _assignments(m, free):
+    """Every full assignment of the variables outside free."""
+    assigned = ((1 << m) - 1) & ~free
+    for true in range(1 << m):
+        if true & ~assigned == 0:
+            yield dnf.PartialAssignment(m, true, assigned & ~true)
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(7))
+def test_kernel_matches_scalar_and_brute_checks(f):
+    for free in range(1 << f.m):
+        got = sorted(dnf._saturated_true_masks(f, free).tolist())
+        scalar = [a.true_mask for a in _assignments(f.m, free) if dnf.is_saturated(f, a)]
+        assert got == scalar
+        brute = [a.true_mask for a in _assignments(f.m, free) if dnf.is_saturated_brute(f, a)]
+        assert got == brute
+
+
+@settings(max_examples=40, deadline=None)
+@given(formulas(6))
+def test_min_unassigned_matches_brute_minimum(f):
+    brute = min(
+        (
+            a.unassigned_count
+            for digits in product("10-", repeat=f.m)
+            if dnf.is_saturated_brute(f, a := dnf.assignment_from_string("".join(digits)))
+        ),
+        default=None,
+    )
+    assert dnf.min_unassigned(f) == brute
+
+
+def test_kernel_fixed_cases():
+    either = dnf.DnfFormula(2, ((0b01, 0), (0b10, 0)))  # x1 or x2
+    assert dnf._saturated_true_masks(either, 0b01).size == 0  # the clause x1 is all free
+    assert dnf._saturated_true_masks(either, 0).tolist() == [0]
+    assert dnf.min_unassigned(either) == 0
+    empty = dnf.DnfFormula(3, ())
+    assert dnf.min_unassigned(empty) == 3
+    assert dnf.min_unassigned(empty, 2) is None
+    assert dnf.min_unassigned(dnf.DnfFormula(0, ())) == 0
+
+
+def test_min_unassigned_reaches_n6_and_n7():
+    p4 = dnf.encode_pattern(6, P4)
+    assert dnf.min_unassigned(p4) == 3 == isat_formula(parse_family("p4"), 6)
+    assert dnf.min_unassigned(dnf.encode_pattern(6, K3)) == 5  # (h-2)n - C(h-1,2)
+    assert dnf.min_unassigned(dnf.encode_pattern(7, P4)) == 3
 
 
 def test_resource_caps():
