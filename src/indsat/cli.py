@@ -23,7 +23,7 @@ from .errors import ResourceLimitError
 from .facts import run_fact_checks
 from .patterns import PatternGraph, from_edges, parse_pattern_id
 from .saturation import is_indsat
-from .search import default_seen_cap, enumerate_indsat, isat_min, isat_min_naive
+from .search import enumerate_indsat, isat_min, isat_min_naive
 
 
 def _load_pattern(args) -> PatternGraph:
@@ -44,6 +44,10 @@ def _load_pattern(args) -> PatternGraph:
             if len(ends) != 2 or not all(x.isdecimal() for x in ends):
                 raise ValueError(f"line {no}: bad edge line {ln!r} (want two vertex numbers)")
             u, v = sorted(int(x) for x in ends)
+            if u == v:
+                raise ValueError(f"line {no}: self-loop {ln!r}")
+            if v >= k:
+                raise ValueError(f"line {no}: vertex {v} out of range for a {k}-vertex pattern")
             if (u, v) in edges:
                 raise ValueError(f"line {no}: duplicate edge {ln!r} (first on line {edges[u, v]})")
             edges[u, v] = no
@@ -109,19 +113,11 @@ def _cmd_search(args) -> int:
     if args.naive:
         res = isat_min_naive(args.n, h, label=_pattern_label(args))
     else:
-        res = isat_min(
-            args.n,
-            h,
-            k_max=args.kmax,
-            workers=args.workers,
-            seen_cap=default_seen_cap(),
-            label=_pattern_label(args),
-        )
+        res = isat_min(args.n, h, k_max=args.kmax, label=_pattern_label(args))
     _emit_report(
         args,
         "search",
-        {"n": args.n, **_pattern_inputs(args), "kmax": args.kmax, "workers": args.workers,
-         "naive": args.naive},
+        {"n": args.n, **_pattern_inputs(args), "kmax": args.kmax, "naive": args.naive},
         res.to_dict(),
         started,
     )
@@ -241,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     add_pattern_flags(p)
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--naive", action="store_true", help="use the unpruned 3^C(n,2) sweep")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_search)

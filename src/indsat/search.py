@@ -1,13 +1,22 @@
 """Exact minimum-gray computation by exhaustive, symmetry-reduced search.
 
-Candidates are enumerated by ascending gray-set size.  For a fixed gray
-set, every black/white coloring of the remaining pairs is screened by a
-vectorized no-realization filter (a coloring survives iff no induced
-placement of the pattern is satisfiable, which is condition (a) of the
-saturation predicate).  Survivors are deduplicated by canonical form —
-and, for self-complementary patterns, against the canonical form of
-their complement — and only class representatives run the flip check.
+A trigraph is induced-h-saturated exactly when its partial assignment of
+the placement formula ``encode_pattern(n, h)`` is saturated (black =
+true, white = false, gray = free), so ``isat_min`` runs the DNF kernel
+``dnf._saturated_true_masks``, which decides every black/white coloring
+of one gray set at once.  Gray counts are taken in ascending order, and
+at each count the kernel runs on one gray set per isomorphism class of
+graphs with that many edges.  The classes are grown by augmentation: add
+each free pair to every representative of the previous level and keep
+the canonical image.  Relabelling maps saturated trigraphs to saturated
+ones, so every witness class has a member whose gray set is its class
+representative; only the rows the kernel returns take a canonical form.
 The first gray count with a witness is therefore the exact minimum.
+
+``enumerate_indsat`` (n <= 5) keeps an independent route for the
+cross-check: every labelled gray set, a vectorized no-realization screen
+over its colorings, canonical dedup of the survivors and the injection
+search of ``flips_all_create`` on each class representative.
 
 A deliberately simple sweep over all 3^C(n,2) trigraphs, with no
 symmetry reduction or filtering, is kept as the agreement oracle.
@@ -15,36 +24,24 @@ symmetry reduction or filtering, is kept as the agreement oracle.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 
+from .dnf import DnfFormula, _saturated_true_masks
 from .errors import ResourceLimitError
-from .patterns import PatternGraph, induced_placements, is_self_complementary
+from .patterns import PatternGraph, induced_placements
 from .saturation import flips_all_create, is_indsat
-from .trigraph import Trigraph, _bits, index_pair, pair_count, pair_index
+from .trigraph import Trigraph, _bits, all_pairs, pair_count
 
 CANONICAL_MAX_VERTICES = 8
 NAIVE_MAX_VERTICES = 5
 ENUMERATE_MAX_VERTICES = 5
 SEARCH_MAX_VERTICES = 7
-DEFAULT_SEEN_CAP = 1 << 24
-
-
-def default_seen_cap() -> int:
-    """Dedup-set size cap; INDSAT_SEEN_CAP overrides the built-in default."""
-    raw = os.environ.get("INDSAT_SEEN_CAP")
-    if raw is None:
-        return DEFAULT_SEEN_CAP
-    cap = int(raw)
-    if cap < 0:
-        raise ValueError("INDSAT_SEEN_CAP must be nonnegative")
-    return cap
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -62,14 +59,11 @@ class CanonicalForm:
 @lru_cache(maxsize=None)
 def _perm_pair_table(n: int) -> np.ndarray:
     """Row r maps each colex pair index to its image under permutation r."""
-    perms = list(permutations(range(n)))
-    m = pair_count(n)
-    table = np.empty((len(perms), m), dtype=np.int64)
-    for r, p in enumerate(perms):
-        for i in range(m):
-            u, v = index_pair(i)
-            table[r, i] = pair_index(p[u], p[v])
-    return table
+    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(factorial(n), n)
+    pairs = np.array(list(all_pairs(n)), dtype=np.int64).reshape(-1, 2)
+    a, b = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return hi * (hi - 1) // 2 + lo
 
 
 def canonical_key(t: Trigraph) -> int:
@@ -126,100 +120,29 @@ class SearchResult:
         }
 
 
-# -- vectorized screening ----------------------------------------------
-
-
-def _black_array(m: int, gray_mask: int) -> np.ndarray:
-    """All black masks over the non-gray pair positions, ascending."""
-    free = [i for i in range(m) if not gray_mask >> i & 1]
-    x = np.arange(1 << len(free), dtype=np.int64)
-    black = np.zeros(x.shape, dtype=np.int64)
-    for j, pos in enumerate(free):
-        black |= ((x >> np.int64(j)) & np.int64(1)) << np.int64(pos)
-    return black
-
-
-def _no_realization_survivors(
-    black: np.ndarray, gray_mask: int, clauses: tuple[tuple[int, int], ...]
-) -> np.ndarray:
-    """Colorings for which no induced placement is satisfiable."""
-    surv = black
-    for pos, neg in clauses:
-        if surv.size == 0:
-            break
-        need_b = np.int64(pos & ~gray_mask)
-        need_w = np.int64(neg & ~gray_mask)
-        sat = ((surv & need_b) == need_b) & ((surv & need_w) == 0)
-        if sat.any():
-            surv = surv[~sat]
-    return surv
-
-
-def _scan_gray_sets(args) -> tuple[int, set[int]]:
-    """Screen a batch of gray sets; return (candidates examined, witness keys)."""
-    n, h, gray_masks, clauses, selfcomp, seen_cap = args
-    m = pair_count(n)
-    seen: set[int] = set()
-    witness_keys: set[int] = set()
-    candidates = 0
-    for gray_mask in gray_masks:
-        black = _black_array(m, gray_mask)
-        candidates += black.size
-        for b in _no_realization_survivors(black, gray_mask, clauses).tolist():
-            t = Trigraph(n, int(b), gray_mask)
-            key = canonical_key(t)
-            if key in seen:
-                continue
-            comp_key = canonical_key(t.complement()) if selfcomp else None
-            if len(seen) < seen_cap:
-                seen.add(key)
-                if comp_key is not None:
-                    seen.add(comp_key)
-            failing, _ = flips_all_create(t, h)
-            if failing is None:
-                witness_keys.add(key)
-                if comp_key is not None:
-                    witness_keys.add(comp_key)
-    return candidates, witness_keys
-
-
-def _scan_level(
-    n: int,
-    h: PatternGraph,
-    k: int,
-    clauses: tuple[tuple[int, int], ...],
-    selfcomp: bool,
-    seen_cap: int,
-    workers: int,
-) -> tuple[int, set[int]]:
-    m = pair_count(n)
-    gray_masks = [sum(1 << i for i in combo) for combo in combinations(range(m), k)]
-    if workers <= 1 or len(gray_masks) < 2 * workers:
-        return _scan_gray_sets((n, h, gray_masks, clauses, selfcomp, seen_cap))
-    chunks = [gray_masks[w::workers] for w in range(workers)]
-    candidates = 0
-    witness_keys: set[int] = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for cand, keys in pool.map(
-            _scan_gray_sets,
-            [(n, h, chunk, clauses, selfcomp, seen_cap) for chunk in chunks],
-        ):
-            candidates += cand
-            witness_keys |= keys
-    return candidates, witness_keys
-
-
 def _keys_to_forms(n: int, keys: set[int]) -> list[CanonicalForm]:
     m = pair_count(n)
     return sorted(CanonicalForm(n, key >> m, key & ((1 << m) - 1)) for key in keys)
+
+
+# -- the search: the DNF kernel over gray-graph classes -----------------
+
+
+def _augment(n: int, reps: list[int]) -> list[int]:
+    """One gray set per isomorphism class of graphs with one edge more than reps."""
+    m = pair_count(n)
+    out: set[int] = set()
+    for gray in reps:
+        for i in range(m):
+            if not gray >> i & 1:
+                out.add(canonical_key(Trigraph(n, 0, gray | 1 << i)) >> m)
+    return sorted(out)
 
 
 def isat_min(
     n: int,
     h: PatternGraph,
     k_max: int | None = None,
-    workers: int = 1,
-    seen_cap: int | None = None,
     label: str | None = None,
 ) -> SearchResult:
     """Least gray count of an induced-h-saturated trigraph on n vertices.
@@ -234,38 +157,33 @@ def isat_min(
         k_max = m
     if not 0 <= k_max <= m:
         raise ValueError(f"k_max must be within 0..{m}")
-    if seen_cap is None:
-        seen_cap = default_seen_cap()
-    clauses = induced_placements(n, h)
-    selfcomp = is_self_complementary(h)
+    formula = DnfFormula(m, induced_placements(n, h))
     start = time.perf_counter()
-    total_candidates = 0
+    min_gray, keys = None, set()
+    reps = [0]
+    gray_classes = 0
     for k in range(k_max + 1):
-        candidates, keys = _scan_level(n, h, k, clauses, selfcomp, seen_cap, workers)
-        total_candidates += candidates
+        if k:
+            reps = _augment(n, reps)
+        gray_classes += len(reps)
+        keys = {
+            canonical_key(Trigraph(n, black, gray))
+            for gray in reps
+            for black in _saturated_true_masks(formula, gray).tolist()
+        }
         if keys:
-            witnesses = _keys_to_forms(n, keys)
-            return SearchResult(
-                n,
-                label or f"pattern(k={h.k})",
-                k,
-                witnesses,
-                k_max,
-                {
-                    "candidates": total_candidates,
-                    "indsat_found": len(witnesses),
-                    "wall_time_s": time.perf_counter() - start,
-                },
-            )
+            min_gray = k
+            break
+    witnesses = _keys_to_forms(n, keys)
     return SearchResult(
         n,
         label or f"pattern(k={h.k})",
-        None,
-        [],
+        min_gray,
+        witnesses,
         k_max,
         {
-            "candidates": total_candidates,
-            "indsat_found": 0,
+            "gray_classes": gray_classes,
+            "indsat_found": len(witnesses),
             "wall_time_s": time.perf_counter() - start,
         },
     )
@@ -308,8 +226,61 @@ def isat_min_naive(n: int, h: PatternGraph, label: str | None = None) -> SearchR
     )
 
 
+# -- the cross-check route: screen, dedup and injection flips ------------
+
+
+def _black_array(m: int, gray_mask: int) -> np.ndarray:
+    """All black masks over the non-gray pair positions, ascending."""
+    free = [i for i in range(m) if not gray_mask >> i & 1]
+    x = np.arange(1 << len(free), dtype=np.int64)
+    black = np.zeros(x.shape, dtype=np.int64)
+    for j, pos in enumerate(free):
+        black |= ((x >> np.int64(j)) & np.int64(1)) << np.int64(pos)
+    return black
+
+
+def _no_realization_survivors(
+    black: np.ndarray, gray_mask: int, clauses: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """Colorings for which no induced placement is satisfiable."""
+    surv = black
+    for pos, neg in clauses:
+        if surv.size == 0:
+            break
+        need_b = np.int64(pos & ~gray_mask)
+        need_w = np.int64(neg & ~gray_mask)
+        sat = ((surv & need_b) == need_b) & ((surv & need_w) == 0)
+        if sat.any():
+            surv = surv[~sat]
+    return surv
+
+
+def _scan_gray_sets(
+    n: int, h: PatternGraph, gray_masks: list[int], clauses: tuple[tuple[int, int], ...]
+) -> set[int]:
+    """Canonical keys of the induced-h-saturated trigraphs over the given gray sets."""
+    m = pair_count(n)
+    seen: set[int] = set()
+    witness_keys: set[int] = set()
+    for gray_mask in gray_masks:
+        black = _black_array(m, gray_mask)
+        for b in _no_realization_survivors(black, gray_mask, clauses).tolist():
+            t = Trigraph(n, b, gray_mask)
+            key = canonical_key(t)
+            if key in seen:
+                continue
+            seen.add(key)
+            failing, _ = flips_all_create(t, h)
+            if failing is None:
+                witness_keys.add(key)
+    return witness_keys
+
+
 def enumerate_indsat(n: int, h: PatternGraph, k: int) -> list[CanonicalForm]:
-    """All canonical induced-h-saturated trigraphs with exactly k gray pairs."""
+    """All canonical induced-h-saturated trigraphs with exactly k gray pairs.
+
+    Runs the cross-check route over every labelled gray set of size k.
+    """
     if not 0 <= n <= ENUMERATE_MAX_VERTICES:
         raise ResourceLimitError(
             f"exhaustive enumeration is only feasible for n <= {ENUMERATE_MAX_VERTICES}"
@@ -317,9 +288,8 @@ def enumerate_indsat(n: int, h: PatternGraph, k: int) -> list[CanonicalForm]:
     m = pair_count(n)
     if not 0 <= k <= m:
         raise ValueError(f"k must be within 0..{m}")
-    clauses = induced_placements(n, h)
-    _, keys = _scan_level(n, h, k, clauses, is_self_complementary(h), default_seen_cap(), 1)
-    return _keys_to_forms(n, keys)
+    gray_masks = [sum(1 << i for i in combo) for combo in combinations(range(m), k)]
+    return _keys_to_forms(n, _scan_gray_sets(n, h, gray_masks, induced_placements(n, h)))
 
 
 def all_indsat_witnesses(n: int, h: PatternGraph) -> list[CanonicalForm]:

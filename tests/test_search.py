@@ -1,13 +1,18 @@
 import random
+import time
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from indsat.constructions import construct_tn
+from indsat.dnf import encode_pattern, min_unassigned
 from indsat.errors import ResourceLimitError
-from indsat.patterns import K3, P4
+from indsat.patterns import C4, K3, P4, PatternGraph
+from indsat.saturation import is_indsat
 from indsat.search import (
     CanonicalForm,
+    _perm_pair_table,
     all_indsat_witnesses,
     canonical_form,
     canonical_key,
@@ -15,7 +20,14 @@ from indsat.search import (
     isat_min,
     isat_min_naive,
 )
-from indsat.trigraph import Trigraph, all_pairs, complete_gray, pair_count, pair_index
+from indsat.trigraph import (
+    Trigraph,
+    all_pairs,
+    complete_gray,
+    index_pair,
+    pair_count,
+    pair_index,
+)
 
 from conftest import all_trigraphs, trigraph_from_code
 
@@ -41,6 +53,19 @@ def test_canonical_form_of_all_gray_is_itself():
     assert form.to_trigraph() == t
     for perm in permutations(range(4)):
         assert canonical_form(t.permute(perm)) == form
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_perm_pair_table_matches_double_loop(n):
+    perms = list(permutations(range(n)))
+    expected = [
+        [pair_index(p[u], p[v]) for u, v in map(index_pair, range(pair_count(n)))]
+        for p in perms
+    ]
+    table = _perm_pair_table(n)
+    assert table.shape == (len(perms), pair_count(n))
+    assert table.dtype == np.int64
+    assert table.tolist() == expected
 
 
 def test_canonical_size_cap():
@@ -91,8 +116,6 @@ def test_isat_min_witness_counts_are_stable():
 
 
 def test_witnesses_are_saturated_with_min_gray():
-    from indsat.saturation import is_indsat
-
     res = isat_min(5, P4)
     for w in res.witnesses:
         t = w.to_trigraph()
@@ -120,6 +143,48 @@ def test_isat_min_argument_errors():
         isat_min(4, P4, k_max=7)
 
 
+def _graphs_up_to_isomorphism(k):
+    reps = {}
+    for edges in range(1 << pair_count(k)):
+        reps.setdefault(canonical_key(Trigraph(k, edges)), PatternGraph(k, edges))
+    return list(reps.values())
+
+
+SMALL_PATTERNS = _graphs_up_to_isomorphism(3) + _graphs_up_to_isomorphism(4)
+
+
+@pytest.mark.parametrize("h", SMALL_PATTERNS, ids=lambda h: f"k{h.k}-edges{h.edges}")
+def test_search_agrees_with_dnf_sweep_and_cross_check_route(h):
+    """The class-reduced kernel search against the unreduced DNF sweep, and its
+    witnesses against the screen-dedup-injection route of enumerate_indsat."""
+    for n in range(h.k, 6):
+        res = isat_min(n, h)
+        assert res.min_gray == min_unassigned(encode_pattern(n, h))
+        assert res.witnesses == enumerate_indsat(n, h, res.min_gray)
+        for w in res.witnesses:
+            assert is_indsat(w.to_trigraph(), h).is_indsat
+
+
+@pytest.mark.parametrize("h", [P4, C4, K3], ids=["p4", "c4", "k3"])
+def test_search_agrees_with_dnf_sweep_at_n6(h):
+    assert isat_min(6, h).min_gray == min_unassigned(encode_pattern(6, h))
+
+
+@pytest.mark.parametrize(
+    "n, h, min_gray, classes, bound_s",
+    [(7, P4, 3, 8, 10.0), (6, K3, 5, 1, 2.0)],
+    ids=["p4-n7", "k3-n6"],
+)
+def test_search_pins(n, h, min_gray, classes, bound_s):
+    start = time.perf_counter()
+    res = isat_min(n, h)
+    elapsed = time.perf_counter() - start
+    assert (res.min_gray, len(res.witnesses)) == (min_gray, classes)
+    assert elapsed < bound_s
+    for w in res.witnesses:
+        assert is_indsat(w.to_trigraph(), h).is_indsat
+
+
 def test_naive_agrees_at_n4():
     pruned = isat_min(4, P4)
     naive = isat_min_naive(4, P4)
@@ -130,23 +195,6 @@ def test_naive_agrees_at_n4():
 def test_naive_size_cap():
     with pytest.raises(ResourceLimitError):
         isat_min_naive(6, P4)
-
-
-def test_workers_do_not_change_results():
-    r1 = isat_min(4, P4, workers=1)
-    r2 = isat_min(4, P4, workers=2)
-    assert (r1.min_gray, r1.witnesses, r1.stats["candidates"]) == (
-        r2.min_gray,
-        r2.witnesses,
-        r2.stats["candidates"],
-    )
-
-
-def test_seen_cap_zero_only_costs_work():
-    capped = isat_min(4, P4, seen_cap=0)
-    free = isat_min(4, P4)
-    assert capped.min_gray == free.min_gray
-    assert capped.witnesses == free.witnesses
 
 
 def test_result_dict_schema():
