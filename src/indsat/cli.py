@@ -21,7 +21,7 @@ from . import trigraph as tri_mod
 from .constructions import construct_alternative, construct_tn, isat_formula, parse_family, sat_formula
 from .errors import ResourceLimitError
 from .facts import run_fact_checks
-from .patterns import PatternGraph, from_edges, parse_pattern_id
+from .patterns import MAX_PATTERN_VERTICES, PatternGraph, from_edges, parse_pattern_id
 from .saturation import is_indsat
 from .search import enumerate_indsat, isat_min, isat_min_naive
 
@@ -38,6 +38,10 @@ def _load_pattern(args) -> PatternGraph:
         if len(head) != 2 or head[0] != "pattern" or not head[1].isdecimal():
             raise ValueError(f"line {head_no}: bad pattern header {head_ln!r}")
         k = int(head[1])
+        if not 2 <= k <= MAX_PATTERN_VERTICES:
+            raise ValueError(
+                f"line {head_no}: pattern must have 2..{MAX_PATTERN_VERTICES} vertices, got {k}"
+            )
         edges: dict[tuple[int, int], int] = {}  # edge -> line it is on
         for no, ln in lines[1:]:
             ends = ln.split()

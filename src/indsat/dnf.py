@@ -10,12 +10,22 @@ Because a DNF clause never repeats a variable, a completion satisfying
 a clause exists iff the current assignment falsifies none of its
 literals; this clause-local check is exact and mirrors the per-pair
 locality of realization detection.  ``is_saturated`` applies it to one
-assignment.  ``min_unassigned`` applies it to every assignment of a free
-set at once, as a numpy kernel over an array of true-masks: a screen
-that grows the array one assigned variable at a time and drops the rows
-leaving a clause completable, then a coverage pass on the survivors.
-An explicit 2^u completion sweep (``is_saturated_brute``) is kept as
-the independent oracle.
+assignment.  ``_saturated_true_masks`` applies it to every assignment of
+one free set at once, as a numpy kernel over an array of true-masks: a
+screen (``_screen``) that grows the array one assigned variable at a
+time and drops the rows leaving a clause completable, then a coverage
+pass on the survivors; the minimum-gray search runs it per gray set.
+
+``min_unassigned`` runs the screen once, at the empty free set, giving
+S: the ascending true-masks of the full assignments that satisfy no
+clause.  With C(F) the assignments with F's bits clear whose completions
+over F all lie in S, C({}) = S and C(F + {f}) keeps the x in C(F) with
+bit f clear and x | 2^f in C(F).  The saturated rows of F are the x in
+C(F) with x ^ 2^v outside C(F) for every assigned v.  Free sets are
+walked depth first, each C(F) derived from its prefix's by
+``np.searchsorted`` lookups; an empty C(F) prunes every superset.  An
+explicit 2^u completion sweep (``is_saturated_brute``) is kept as the
+independent oracle.
 
 The minimization objective min_unassigned mirrors the trigraph
 minimum-gray objective; it is this artifact's framing, not a standard
@@ -25,7 +35,6 @@ quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -207,45 +216,107 @@ def is_saturated_brute(f: DnfFormula, a: PartialAssignment, cap: int = COMPLETIO
     )
 
 
-def _saturated_true_masks(f: DnfFormula, free_mask: int) -> np.ndarray:
-    """True-masks of the saturated assignments whose unassigned set is free_mask.
+def _screen(f: DnfFormula, free_mask: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Ascending true-masks of the assignments, outside free_mask, falsifying every clause.
 
-    Screen: the array of true-masks grows one assigned variable at a time,
-    and after placing v the rows that leave some clause completable are
-    dropped, for the clauses whose highest assigned variable is v.  The
-    assigned part of a clause is completable iff its falsified set
-    ``(true & mask) ^ pos`` is empty.  Coverage: each surviving row is
-    saturated iff every assigned variable is the only falsified literal of
-    some clause.
+    The array of true-masks grows one assigned variable at a time, and after
+    placing v the rows that leave some clause completable are dropped, for
+    the clauses whose highest assigned variable is v.  The assigned part of
+    a clause is completable iff its falsified set ``(true & mask) ^ pos`` is
+    empty.  Each doubling appends rows >= 2^v and each filter keeps order,
+    so the rows come out ascending.  Also returns the clauses restricted to
+    the assigned variables as (mask, pos) pairs; a clause with no assigned
+    variable is completable under every assignment, so the rows are empty.
     """
     assigned = ((1 << f.m) - 1) & ~free_mask
     by_top: dict[int, list[tuple[int, int]]] = {}
     for pos, neg in f.clauses:
         mask = (pos | neg) & assigned
         if not mask:
-            return np.empty(0, dtype=np.int64)  # completable under every assignment
+            return np.empty(0, dtype=np.int64), []
         by_top.setdefault(mask.bit_length() - 1, []).append((mask, pos & assigned))
     true = np.zeros(1, dtype=np.int64)
     for v in _bits(assigned):
         true = np.concatenate((true, true | np.int64(1 << v)))
         for mask, pos in by_top.get(v, ()):
             true = true[(true & mask) != pos]
+    return true, [c for clauses in by_top.values() for c in clauses]
+
+
+def _saturated_true_masks(f: DnfFormula, free_mask: int) -> np.ndarray:
+    """True-masks of the saturated assignments whose unassigned set is free_mask.
+
+    The screen (``_screen``) keeps the rows that satisfy condition (1).
+    Coverage: each surviving row is saturated iff every assigned variable
+    is the only falsified literal of some clause.
+    """
+    assigned = ((1 << f.m) - 1) & ~free_mask
+    true, clauses = _screen(f, free_mask)
     covered = np.zeros_like(true)
-    for clauses in by_top.values():
-        for mask, pos in clauses:
-            falsified = (true & mask) ^ pos
-            covered |= np.where(falsified & (falsified - 1) == 0, falsified, 0)
+    for mask, pos in clauses:
+        falsified = (true & mask) ^ pos
+        covered |= np.where(falsified & (falsified - 1) == 0, falsified, 0)
     return true[covered == assigned]
+
+
+def _member(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Which rows occur in the ascending, nonempty array table."""
+    at = np.searchsorted(table, rows)
+    return table[np.minimum(at, table.size - 1)] == rows
+
+
+def _cubes(s: np.ndarray, m: int, u: int):
+    """Yield (free_mask, C(F)) for each u-set F of the m variables with C(F) nonempty.
+
+    C(F) holds the assignments with F's bits clear whose every completion
+    over F lies in the ascending array s: C({}) = s, and
+    C(F + {f}) = {x in C(F) : bit f of x clear, x | 2^f in C(F)}.  Free sets
+    come depth first in lexicographic order, each C(F) derived from that of
+    its prefix; an empty C(F) is also empty for every superset, so its
+    subtree is skipped.  Every C(F) stays ascending.
+    """
+
+    def walk(free: int, cube: np.ndarray, start: int, depth: int):
+        if depth == u:
+            yield free, cube
+            return
+        for f in range(start, m - u + depth + 1):
+            bit = np.int64(1 << f)
+            clear = cube[(cube & bit) == 0]
+            child = clear[_member(clear | bit, cube)]
+            if child.size:
+                yield from walk(free | (1 << f), child, f + 1, depth + 1)
+
+    if s.size:
+        yield from walk(0, s, 0, 0)
+
+
+def _saturated_in_cube(cube: np.ndarray, assigned: int) -> np.ndarray:
+    """The rows x of a nonempty C(F) with x ^ 2^v outside C(F) for every assigned v.
+
+    x's own completions over F all falsify the formula, so unassigning v
+    admits a satisfying completion exactly when x ^ 2^v is not in C(F).
+    """
+    rows = cube
+    for v in _bits(assigned):
+        rows = rows[~_member(rows ^ np.int64(1 << v), cube)]
+        if not rows.size:
+            break
+    return rows
 
 
 def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
     """Least unassigned count over saturated assignments; None if none up to cap.
 
-    Free sets are taken in ascending size, and each is decided at once over
-    all its assignments by the numpy screen-then-coverage kernel
-    (``_saturated_true_masks``), which agrees with ``is_saturated`` row by
-    row.  No symmetry reduction: generic formulas carry no
-    vertex-permutation group to exploit.
+    One screen (``_screen`` at free set {}) gives S, the ascending
+    true-masks of the full assignments that satisfy no clause.  Free sets
+    are then taken in ascending size and decided by array lookups on S:
+    ``_cubes`` derives C(F), the rows whose completions over F all lie in
+    S, from the C of F's prefix, and the saturated rows of F are those of
+    C(F) that leave C(F) when any one assigned variable is flipped.  These
+    agree with ``is_saturated`` row by row.  No symmetry reduction: generic
+    formulas carry no vertex-permutation group to exploit.  On a 2-core x86
+    host, P4 takes ~0.03 s at n=6 and ~0.4 s at n=7.
     """
     if f.m > MIN_UNASSIGNED_MAX_VARS:
         raise ResourceLimitError(
@@ -253,9 +324,11 @@ def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
         )
     if cap is None:
         cap = f.m
+    full = (1 << f.m) - 1
+    s, _ = _screen(f, 0)
     for u in range(min(cap, f.m) + 1):
-        for free in combinations(range(f.m), u):
-            if _saturated_true_masks(f, sum(1 << i for i in free)).size:
+        for free, cube in _cubes(s, f.m, u):
+            if _saturated_in_cube(cube, full & ~free).size:
                 return u
     return None
 
@@ -274,24 +347,30 @@ def dumps(f: DnfFormula) -> str:
 
 
 def loads(text: str) -> DnfFormula:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    """Parse the text format; a malformed document is a ValueError naming its line."""
+    lines = [(no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(text.splitlines(), 1)]
+    lines = [(no, ln) for no, ln in lines if ln]
     if not lines:
         raise ValueError("empty dnf document")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "dnf":
-        raise ValueError(f"bad header line: {lines[0]!r}")
+    head_no, head_ln = lines[0]
+    head = head_ln.split()
+    if len(head) != 3 or head[0] != "dnf" or not (head[1].isdecimal() and head[2].isdecimal()):
+        raise ValueError(f"line {head_no}: bad header line {head_ln!r}")
     m, count = int(head[1]), int(head[2])
     if len(lines) - 1 != count:
         raise ValueError(f"expected {count} clause lines, found {len(lines) - 1}")
     clauses = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         pos = neg = 0
         for tok in ln.split():
+            if not tok.removeprefix("-").isdecimal():
+                raise ValueError(f"line {no}: bad literal {tok!r}")
             lit = int(tok)
             if lit == 0 or abs(lit) > m:
-                raise ValueError(f"literal {lit} outside variable range 1..{m}")
+                raise ValueError(f"line {no}: literal {lit} outside variable range 1..{m}")
             bit = 1 << (abs(lit) - 1)
+            if (pos | neg) & bit:
+                raise ValueError(f"line {no}: variable {abs(lit)} appears twice in a clause")
             if lit > 0:
                 pos |= bit
             else:

@@ -180,9 +180,11 @@ def test_pattern_file_run_is_labelled_by_file(capsys, tmp_path):
         ("pattern 3\n\n2\n", "error: line 3: bad edge line '2' (want two vertex numbers)"),
         ("pattern 3\n0 1\n0 0\n", "error: line 3: self-loop '0 0'"),
         ("pattern 3\n0 5\n", "error: line 2: vertex 5 out of range for a 3-vertex pattern"),
+        ("# c\npattern 1\n", "error: line 2: pattern must have 2..8 vertices, got 1"),
+        ("pattern 9\n0 1\n", "error: line 1: pattern must have 2..8 vertices, got 9"),
     ],
     ids=["empty", "comments-only", "duplicate-edge", "bad-count", "non-numeric", "three-numbers",
-         "single-number", "self-loop", "out-of-range"],
+         "single-number", "self-loop", "out-of-range", "too-few-vertices", "too-many-vertices"],
 )
 def test_bad_pattern_file_is_one_line_error(capsys, tmp_path, text, message):
     pat = tmp_path / "bad.pat"
@@ -190,6 +192,28 @@ def test_bad_pattern_file_is_one_line_error(capsys, tmp_path, text, message):
     tri_path = tmp_path / "t4.tri"
     tri_path.write_text("trigraph 4\n", encoding="utf-8")
     code, out, err = run(capsys, "verify", "--file", str(tri_path), "--pattern-file", str(pat))
+    assert code == 1
+    assert out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dnf x 1\n1\n", "error: line 1: bad header line 'dnf x 1'"),
+        ("dnf 3 1\n1 a\n", "error: line 2: bad literal 'a'"),
+        ("dnf 3 1\n1 -1\n", "error: line 2: variable 1 appears twice in a clause"),
+        ("dnf 3 1\n\n2 4\n", "error: line 3: literal 4 outside variable range 1..3"),
+    ],
+    ids=["header", "token", "twice", "out-of-range"],
+)
+def test_bad_dnf_file_is_one_line_error(capsys, tmp_path, text, message):
+    formula_path = tmp_path / "bad.dnf"
+    formula_path.write_text(text, encoding="utf-8")
+    assignment_path = tmp_path / "a.txt"
+    assignment_path.write_text("1-0", encoding="utf-8")
+    code, out, err = run(capsys, "saturate", "--formula", str(formula_path),
+                         "--assignment", str(assignment_path))
     assert code == 1
     assert out == ""
     assert err == message + "\n"

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -172,6 +173,38 @@ def test_min_unassigned_matches_brute_minimum(f):
     assert dnf.min_unassigned(f) == brute
 
 
+def _sweep_rows(f):
+    """Saturated rows of every free set the sweep reaches, keyed by free mask."""
+    s, _ = dnf._screen(f, 0)
+    full = (1 << f.m) - 1
+    return {
+        free: dnf._saturated_in_cube(cube, full & ~free).tolist()
+        for u in range(f.m + 1)
+        for free, cube in dnf._cubes(s, f.m, u)
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(7))
+def test_sweep_matches_kernel_and_brute_checks(f):
+    swept = _sweep_rows(f)
+    for free in range(1 << f.m):
+        got = swept.get(free, [])  # a pruned free set has no rows
+        assert got == dnf._saturated_true_masks(f, free).tolist()
+        brute = [a.true_mask for a in _assignments(f.m, free) if dnf.is_saturated_brute(f, a)]
+        assert got == brute
+
+
+def test_sweep_first_saturated_set_follows_a_pruned_subtree():
+    f = dnf.DnfFormula(4, ((0b0010, 0),))  # the clause "x2" over four variables
+    s, _ = dnf._screen(f, 0)
+    assert s.tolist() == [0b0000, 0b0001, 0b0100, 0b0101, 0b1000, 0b1001, 0b1100, 0b1101]
+    # C({0, 1}) is empty, so {0, 1, 2} and {0, 1, 3} are never reached; {0, 2, 3} is
+    assert [free for free, _ in dnf._cubes(s, 4, 2)] == [0b0101, 0b1001, 0b1100]
+    assert [(free, cube.tolist()) for free, cube in dnf._cubes(s, 4, 3)] == [(0b1101, [0])]
+    assert dnf.min_unassigned(f) == 3
+
+
 def test_kernel_fixed_cases():
     either = dnf.DnfFormula(2, ((0b01, 0), (0b10, 0)))  # x1 or x2
     assert dnf._saturated_true_masks(either, 0b01).size == 0  # the clause x1 is all free
@@ -187,7 +220,10 @@ def test_min_unassigned_reaches_n6_and_n7():
     p4 = dnf.encode_pattern(6, P4)
     assert dnf.min_unassigned(p4) == 3 == isat_formula(parse_family("p4"), 6)
     assert dnf.min_unassigned(dnf.encode_pattern(6, K3)) == 5  # (h-2)n - C(h-1,2)
-    assert dnf.min_unassigned(dnf.encode_pattern(7, P4)) == 3
+    p4_n7 = dnf.encode_pattern(7, P4)
+    start = time.perf_counter()
+    assert dnf.min_unassigned(p4_n7) == 3
+    assert time.perf_counter() - start < 5.0  # about 0.4 s on a 2-core x86 host
 
 
 def test_resource_caps():
@@ -229,3 +265,23 @@ def test_dnf_clause_literals_are_signed_one_based():
 def test_dnf_rejects_malformed(doc):
     with pytest.raises(ValueError):
         dnf.loads(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("dnf x 1\n1", "line 1: bad header line 'dnf x 1'"),
+        ("# c\ndnf 3 -1\n", "line 2: bad header line 'dnf 3 -1'"),
+        ("dnf 3 1\n1 a", "line 2: bad literal 'a'"),
+        ("dnf 3 2\n1\n\n2 --3", "line 4: bad literal '--3'"),
+        ("dnf 3 1\n1 -1", "line 2: variable 1 appears twice in a clause"),
+        ("dnf 3 2\n1\n# c\n2 -4", "line 4: literal -4 outside variable range 1..3"),
+        ("dnf 3 1\n-0", "line 2: literal 0 outside variable range 1..3"),
+    ],
+    ids=["header-count", "header-negative", "token", "double-sign", "twice", "out-of-range",
+         "zero"],
+)
+def test_dnf_errors_name_their_line(doc, message):
+    with pytest.raises(ValueError) as exc:
+        dnf.loads(doc)
+    assert str(exc.value) == message
