@@ -3,9 +3,12 @@
 Subcommands: construct, verify, search, enumerate, encode, formula,
 facts, saturate.  Numeric results are emitted as a JSON run report
 (stable schema: subcommand, inputs, result, wall_time_s, version);
-construct/encode emit their text file formats directly.  Exit codes:
-0 success, 1 operation or expectation failure, 2 usage error, 3
-resource cap exceeded.
+construct/encode emit their text file formats directly.  Files are read
+by the ``load`` of ``trigraph``, ``dnf`` and ``patterns``, which share
+``textformat``; this module knows no file format.  A bad file or value
+prints one line, ``error: <path>: line N: ...`` for a file, on stderr.
+Exit codes: 0 success, 1 operation or expectation failure (a bad file
+or value included), 2 usage error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -17,46 +20,20 @@ import time
 from pathlib import Path
 
 from . import __version__, dnf as dnf_mod
+from . import patterns as pat_mod
 from . import trigraph as tri_mod
 from .constructions import construct_alternative, construct_tn, isat_formula, parse_family, sat_formula
 from .errors import ResourceLimitError
 from .facts import run_fact_checks
-from .patterns import MAX_PATTERN_VERTICES, PatternGraph, from_edges, parse_pattern_id
 from .saturation import is_indsat
 from .search import enumerate_indsat, isat_min, isat_min_naive
+from .textformat import load_file
 
 
-def _load_pattern(args) -> PatternGraph:
+def _load_pattern(args) -> pat_mod.PatternGraph:
     if getattr(args, "pattern_file", None):
-        text = Path(args.pattern_file).read_text(encoding="utf-8")
-        lines = [(no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(text.splitlines(), 1)]
-        lines = [(no, ln) for no, ln in lines if ln]
-        if not lines:
-            raise ValueError("empty pattern file")
-        head_no, head_ln = lines[0]
-        head = head_ln.split()
-        if len(head) != 2 or head[0] != "pattern" or not head[1].isdecimal():
-            raise ValueError(f"line {head_no}: bad pattern header {head_ln!r}")
-        k = int(head[1])
-        if not 2 <= k <= MAX_PATTERN_VERTICES:
-            raise ValueError(
-                f"line {head_no}: pattern must have 2..{MAX_PATTERN_VERTICES} vertices, got {k}"
-            )
-        edges: dict[tuple[int, int], int] = {}  # edge -> line it is on
-        for no, ln in lines[1:]:
-            ends = ln.split()
-            if len(ends) != 2 or not all(x.isdecimal() for x in ends):
-                raise ValueError(f"line {no}: bad edge line {ln!r} (want two vertex numbers)")
-            u, v = sorted(int(x) for x in ends)
-            if u == v:
-                raise ValueError(f"line {no}: self-loop {ln!r}")
-            if v >= k:
-                raise ValueError(f"line {no}: vertex {v} out of range for a {k}-vertex pattern")
-            if (u, v) in edges:
-                raise ValueError(f"line {no}: duplicate edge {ln!r} (first on line {edges[u, v]})")
-            edges[u, v] = no
-        return from_edges(k, edges)
-    return parse_pattern_id(args.pattern)
+        return pat_mod.load(args.pattern_file)
+    return pat_mod.parse_pattern_id(args.pattern)
 
 
 def _pattern_label(args) -> str:
@@ -194,7 +171,7 @@ def _cmd_facts(args) -> int:
 def _cmd_saturate(args) -> int:
     started = time.perf_counter()
     formula = dnf_mod.load(args.formula)
-    assignment = dnf_mod.assignment_from_string(Path(args.assignment).read_text(encoding="utf-8"))
+    assignment = load_file(args.assignment, dnf_mod.assignment_from_string)
     if assignment.m != formula.m:
         raise ValueError(
             f"assignment has {assignment.m} variables, formula has {formula.m}"

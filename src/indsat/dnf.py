@@ -40,10 +40,13 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .patterns import PatternGraph, induced_placements
-from .trigraph import Trigraph, _bits, pair_count
+from .textformat import load_file, read_document
+from .trigraph import MAX_VERTICES, Trigraph, _bits, pair_count
 
 COMPLETION_CAP = 20
 MIN_UNASSIGNED_MAX_VARS = 21
+# The most variables a file may declare: one per pair of the largest trigraph.
+MAX_VARIABLES = pair_count(MAX_VERTICES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,8 +338,10 @@ def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
 
 # -- text format --------------------------------------------------------
 #
-#   dnf <m> <c>
+#   dnf <m> <c>     (m <= MAX_VARIABLES)
 #   <signed 1-based variable indices per clause>
+#
+# Comments, blank lines and line numbers follow ``textformat``.
 
 
 def dumps(f: DnfFormula) -> str:
@@ -348,34 +353,25 @@ def dumps(f: DnfFormula) -> str:
 
 def loads(text: str) -> DnfFormula:
     """Parse the text format; a malformed document is a ValueError naming its line."""
-    lines = [(no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(text.splitlines(), 1)]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines:
-        raise ValueError("empty dnf document")
-    head_no, head_ln = lines[0]
-    head = head_ln.split()
-    if len(head) != 3 or head[0] != "dnf" or not (head[1].isdecimal() and head[2].isdecimal()):
-        raise ValueError(f"line {head_no}: bad header line {head_ln!r}")
-    m, count = int(head[1]), int(head[2])
-    if len(lines) - 1 != count:
-        raise ValueError(f"expected {count} clause lines, found {len(lines) - 1}")
+    head_no, (m, count), body = read_document(text, "dnf", 2)
+    if m > MAX_VARIABLES:
+        raise ValueError(f"line {head_no}: variable count {m} outside supported range 0..{MAX_VARIABLES}")
+    if len(body) != count:
+        raise ValueError(f"line {head_no}: expected {count} clause lines, found {len(body)}")
     clauses = []
-    for no, ln in lines[1:]:
-        pos = neg = 0
-        for tok in ln.split():
+    for no, tokens in body:
+        signs = [0, 0]  # (positive mask, negative mask)
+        for tok in tokens:
             if not tok.removeprefix("-").isdecimal():
                 raise ValueError(f"line {no}: bad literal {tok!r}")
             lit = int(tok)
             if lit == 0 or abs(lit) > m:
                 raise ValueError(f"line {no}: literal {lit} outside variable range 1..{m}")
             bit = 1 << (abs(lit) - 1)
-            if (pos | neg) & bit:
+            if (signs[0] | signs[1]) & bit:
                 raise ValueError(f"line {no}: variable {abs(lit)} appears twice in a clause")
-            if lit > 0:
-                pos |= bit
-            else:
-                neg |= bit
-        clauses.append((pos, neg))
+            signs[lit < 0] |= bit
+        clauses.append(tuple(signs))
     return DnfFormula(m, tuple(clauses))
 
 
@@ -385,5 +381,4 @@ def dump(f: DnfFormula, path) -> None:
 
 
 def load(path) -> DnfFormula:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return load_file(path, loads)

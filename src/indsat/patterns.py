@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from .textformat import load_file, read_document
 from .trigraph import all_pairs, index_pair, pair_count, pair_index
 
 MAX_PATTERN_VERTICES = 8
@@ -188,3 +189,36 @@ def induced_placements(n: int, h: PatternGraph) -> tuple[tuple[int, int], ...]:
                 seen.add(key)
                 out.append(key)
     return tuple(out)
+
+
+# -- text format (the --pattern-file of the command line) -----------------
+#
+#   pattern <k>
+#   <u> <v>         (one edge per line, 0-based, any order)
+#
+# Comments, blank lines and line numbers follow ``textformat``.
+
+
+def loads(text: str) -> PatternGraph:
+    """Parse the pattern text format; a malformed document is a ValueError naming its line."""
+    head_no, (k,), body = read_document(text, "pattern", 1)
+    if not 2 <= k <= MAX_PATTERN_VERTICES:
+        raise ValueError(f"line {head_no}: pattern must have 2..{MAX_PATTERN_VERTICES} vertices, got {k}")
+    edges: dict[tuple[int, int], int] = {}  # edge -> line it is on
+    for no, tokens in body:
+        line = " ".join(tokens)
+        if len(tokens) != 2 or not all(t.isdecimal() for t in tokens):
+            raise ValueError(f"line {no}: bad edge line {line!r} (want two vertex numbers)")
+        u, v = sorted(int(t) for t in tokens)
+        if u == v:
+            raise ValueError(f"line {no}: self-loop {line!r}")
+        if v >= k:
+            raise ValueError(f"line {no}: vertex {v} out of range for a {k}-vertex pattern")
+        if (u, v) in edges:
+            raise ValueError(f"line {no}: duplicate edge {line!r} (first on line {edges[u, v]})")
+        edges[u, v] = no
+    return from_edges(k, edges)
+
+
+def load(path) -> PatternGraph:
+    return load_file(path, loads)

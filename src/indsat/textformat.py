@@ -1,0 +1,36 @@
+"""The line format shared by the trigraph, DNF and pattern files.
+
+``#`` starts a comment to the end of its line, blank lines are skipped,
+and lines keep their ``str.splitlines`` numbers so every error names one.
+"""
+
+from pathlib import Path
+
+MAX_TOKEN_LENGTH = 4300  # Python's int() digit limit; no token of a valid document nears it
+
+
+def read_document(text: str, keyword: str, counts: int):
+    """Return (header line number, header counts, [(line number, tokens)] per body line).
+
+    The header is ``<keyword>`` and `counts` decimal numbers.  Every
+    ValueError raised here starts ``line N:``.
+    """
+    lines = [(no, raw.split("#", 1)[0].split()) for no, raw in enumerate(text.splitlines(), 1)]
+    lines = [(no, tokens) for no, tokens in lines if tokens]
+    for no, tokens in lines:
+        if max(map(len, tokens)) > MAX_TOKEN_LENGTH:
+            raise ValueError(f"line {no}: token longer than {MAX_TOKEN_LENGTH} characters")
+    if not lines:
+        raise ValueError(f"line 1: empty {keyword} document (no header line)")
+    (head_no, head), body = lines[0], lines[1:]
+    if len(head) != counts + 1 or head[0] != keyword or not all(t.isdecimal() for t in head[1:]):
+        raise ValueError(f"line {head_no}: bad header line {' '.join(head)!r}")
+    return head_no, [int(t) for t in head[1:]], body
+
+
+def load_file(path, loads):
+    """loads(text of the UTF-8 file at path); a ValueError, UnicodeDecodeError included, names path."""
+    try:
+        return loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -18,6 +18,8 @@ from enum import Enum
 from math import isqrt
 from typing import Iterable, Iterator
 
+from .textformat import load_file, read_document
+
 MAX_VERTICES = 64
 
 
@@ -271,7 +273,7 @@ def from_pairs(
 #   trigraph <n>
 #   <u> <v> <c>     (0-based, u < v, c in {B, W, G}; unlisted pairs are W)
 #
-# Blank lines and '#' comments are ignored.
+# Comments, blank lines and line numbers follow ``textformat``.
 
 
 def dumps(t: Trigraph) -> str:
@@ -285,47 +287,26 @@ def dumps(t: Trigraph) -> str:
 
 
 def loads(text: str) -> Trigraph:
-    """Parse the trigraph text format."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise ValueError("empty trigraph document")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "trigraph":
-        raise ValueError(f"bad header line: {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ValueError(f"bad vertex count: {head[1]!r}") from None
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
-    black = gray = white = 0
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad pair line: {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad pair line: {line!r}") from None
-        if not (0 <= u < v < n):
-            raise ValueError(f"pair ({u}, {v}) not 0-based u < v < {n}")
+    """Parse the trigraph text format; a malformed document is a ValueError naming its line."""
+    head_no, (n,), body = read_document(text, "trigraph", 1)
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {head_no}: vertex count {n} outside supported range 0..{MAX_VERTICES}")
+    masks = dict.fromkeys("BGW", 0)
+    first: dict[int, int] = {}  # pair bit -> line it is on
+    for no, tokens in body:
+        if len(tokens) != 3 or not (tokens[0].isdecimal() and tokens[1].isdecimal()):
+            raise ValueError(f"line {no}: bad pair line {' '.join(tokens)!r}")
+        u, v, c = int(tokens[0]), int(tokens[1]), tokens[2]
+        if not u < v < n:
+            raise ValueError(f"line {no}: pair ({u}, {v}) not 0-based u < v < {n}")
         bit = 1 << pair_index(u, v)
-        if (black | gray | white) & bit:
-            raise ValueError(f"duplicate pair ({u}, {v})")
-        c = parts[2]
-        if c == "B":
-            black |= bit
-        elif c == "G":
-            gray |= bit
-        elif c == "W":
-            white |= bit
-        else:
-            raise ValueError(f"bad color {c!r} for pair ({u}, {v})")
-    return Trigraph(n, black, gray)
+        if bit in first:
+            raise ValueError(f"line {no}: duplicate pair ({u}, {v}) (first on line {first[bit]})")
+        first[bit] = no
+        if c not in masks:
+            raise ValueError(f"line {no}: bad color {c!r} for pair ({u}, {v})")
+        masks[c] |= bit
+    return Trigraph(n, masks["B"], masks["G"])
 
 
 def dump(t: Trigraph, path) -> None:
@@ -334,5 +315,4 @@ def dump(t: Trigraph, path) -> None:
 
 
 def load(path) -> Trigraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return load_file(path, loads)

@@ -171,17 +171,17 @@ def test_pattern_file_run_is_labelled_by_file(capsys, tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("", "error: empty pattern file"),
-        ("# only a comment\n\n", "error: empty pattern file"),
-        ("pattern 3\n0 1\n1 2\n1 0\n", "error: line 4: duplicate edge '1 0' (first on line 2)"),
-        ("pattern x\n0 1\n", "error: line 1: bad pattern header 'pattern x'"),
-        ("pattern 3\n0 a\n", "error: line 2: bad edge line '0 a' (want two vertex numbers)"),
-        ("pattern 3\n0 1\n# c\n0 1 2\n", "error: line 4: bad edge line '0 1 2' (want two vertex numbers)"),
-        ("pattern 3\n\n2\n", "error: line 3: bad edge line '2' (want two vertex numbers)"),
-        ("pattern 3\n0 1\n0 0\n", "error: line 3: self-loop '0 0'"),
-        ("pattern 3\n0 5\n", "error: line 2: vertex 5 out of range for a 3-vertex pattern"),
-        ("# c\npattern 1\n", "error: line 2: pattern must have 2..8 vertices, got 1"),
-        ("pattern 9\n0 1\n", "error: line 1: pattern must have 2..8 vertices, got 9"),
+        ("", "line 1: empty pattern document (no header line)"),
+        ("# only a comment\n\n", "line 1: empty pattern document (no header line)"),
+        ("pattern 3\n0 1\n1 2\n1 0\n", "line 4: duplicate edge '1 0' (first on line 2)"),
+        ("pattern x\n0 1\n", "line 1: bad header line 'pattern x'"),
+        ("pattern 3\n0 a\n", "line 2: bad edge line '0 a' (want two vertex numbers)"),
+        ("pattern 3\n0 1\n# c\n0 1 2\n", "line 4: bad edge line '0 1 2' (want two vertex numbers)"),
+        ("pattern 3\n\n2\n", "line 3: bad edge line '2' (want two vertex numbers)"),
+        ("pattern 3\n0 1\n0 0\n", "line 3: self-loop '0 0'"),
+        ("pattern 3\n0 5\n", "line 2: vertex 5 out of range for a 3-vertex pattern"),
+        ("# c\npattern 1\n", "line 2: pattern must have 2..8 vertices, got 1"),
+        ("pattern 9\n0 1\n", "line 1: pattern must have 2..8 vertices, got 9"),
     ],
     ids=["empty", "comments-only", "duplicate-edge", "bad-count", "non-numeric", "three-numbers",
          "single-number", "self-loop", "out-of-range", "too-few-vertices", "too-many-vertices"],
@@ -194,18 +194,20 @@ def test_bad_pattern_file_is_one_line_error(capsys, tmp_path, text, message):
     code, out, err = run(capsys, "verify", "--file", str(tri_path), "--pattern-file", str(pat))
     assert code == 1
     assert out == ""
-    assert err == message + "\n"
+    assert err == f"error: {pat}: {message}\n"
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("dnf x 1\n1\n", "error: line 1: bad header line 'dnf x 1'"),
-        ("dnf 3 1\n1 a\n", "error: line 2: bad literal 'a'"),
-        ("dnf 3 1\n1 -1\n", "error: line 2: variable 1 appears twice in a clause"),
-        ("dnf 3 1\n\n2 4\n", "error: line 3: literal 4 outside variable range 1..3"),
+        ("dnf x 1\n1\n", "line 1: bad header line 'dnf x 1'"),
+        ("dnf 3 1\n1 a\n", "line 2: bad literal 'a'"),
+        ("dnf 3 1\n1 -1\n", "line 2: variable 1 appears twice in a clause"),
+        ("dnf 3 1\n\n2 4\n", "line 3: literal 4 outside variable range 1..3"),
+        ("# c\ndnf 3 2\n1\n", "line 2: expected 2 clause lines, found 1"),
+        ("dnf 2017 1\n1\n", "line 1: variable count 2017 outside supported range 0..2016"),
     ],
-    ids=["header", "token", "twice", "out-of-range"],
+    ids=["header", "token", "twice", "out-of-range", "clause-count", "too-many-variables"],
 )
 def test_bad_dnf_file_is_one_line_error(capsys, tmp_path, text, message):
     formula_path = tmp_path / "bad.dnf"
@@ -216,7 +218,40 @@ def test_bad_dnf_file_is_one_line_error(capsys, tmp_path, text, message):
                          "--assignment", str(assignment_path))
     assert code == 1
     assert out == ""
-    assert err == message + "\n"
+    assert err == f"error: {formula_path}: {message}\n"
+
+
+def test_bad_trigraph_file_is_one_line_error(capsys, tmp_path):
+    tri_path = tmp_path / "bad.tri"
+    tri_path.write_text("trigraph 4\n0 1 G\n# c\n0 4 B\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--file", str(tri_path), "--pattern", "p4")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {tri_path}: line 4: pair (0, 4) not 0-based u < v < 4\n"
+
+
+@pytest.mark.parametrize("bad", ["trigraph", "pattern", "formula", "assignment"])
+def test_non_utf8_file_is_one_line_error(capsys, tmp_path, bad):
+    files = {
+        "trigraph": ("t.tri", "trigraph 4\n"),
+        "pattern": ("p.pat", "pattern 3\n0 1\n"),
+        "formula": ("f.dnf", "dnf 3 1\n1\n"),
+        "assignment": ("a.txt", "1-0"),
+    }
+    paths = {}
+    for kind, (name, text) in files.items():
+        paths[kind] = tmp_path / name
+        paths[kind].write_text(text, encoding="utf-8")
+    paths[bad].write_bytes(b"\xff" + files[bad][1].encode())
+    if bad in ("formula", "assignment"):
+        argv = ["saturate", "--formula", str(paths["formula"]), "--assignment", str(paths["assignment"])]
+    else:
+        argv = ["verify", "--file", str(paths["trigraph"]), "--pattern-file", str(paths["pattern"])]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {paths[bad]}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
 
 
 def test_usage_error_exit_code(capsys):

@@ -245,6 +245,11 @@ def test_dnf_round_trip():
     assert text.splitlines()[0] == "dnf 6 12"
 
 
+def test_dnf_accepts_the_largest_variable_count():
+    f = dnf.loads("dnf 2016 1\n-2016 1")
+    assert (f.m, f.clauses) == (2016, ((1, 1 << 2015),))
+
+
 def test_dnf_clause_literals_are_signed_one_based():
     f = dnf.DnfFormula(3, ((0b101, 0b010),))
     assert f.clause_literals() == [[1, -2, 3]]
@@ -277,9 +282,13 @@ def test_dnf_rejects_malformed(doc):
         ("dnf 3 1\n1 -1", "line 2: variable 1 appears twice in a clause"),
         ("dnf 3 2\n1\n# c\n2 -4", "line 4: literal -4 outside variable range 1..3"),
         ("dnf 3 1\n-0", "line 2: literal 0 outside variable range 1..3"),
+        ("\n# c\ndnf 3 2\n1\n\n", "line 3: expected 2 clause lines, found 1"),
+        ("", "line 1: empty dnf document (no header line)"),
+        ("# c\n\n", "line 1: empty dnf document (no header line)"),
+        ("dnf 2017 1\n1", "line 1: variable count 2017 outside supported range 0..2016"),
     ],
     ids=["header-count", "header-negative", "token", "double-sign", "twice", "out-of-range",
-         "zero"],
+         "zero", "clause-count", "empty", "comments-only", "too-many-variables"],
 )
 def test_dnf_errors_name_their_line(doc, message):
     with pytest.raises(ValueError) as exc:

@@ -229,8 +229,36 @@ def test_text_accepts_explicit_white():
         "trigraph 3\n0 1 Q",
         "trigraph 3\n0 1 B\n0 1 W",  # duplicate
         "trigraph 99",
+        "trigraph 1_0",  # int() would read 10
+        "trigraph 3\n0 +1 B",  # int() would read 1
     ],
 )
 def test_text_rejects_malformed_documents(doc):
     with pytest.raises(ValueError):
         loads(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("", "line 1: empty trigraph document (no header line)"),
+        ("# c\n\n", "line 1: empty trigraph document (no header line)"),
+        ("# c\ngraph 3", "line 2: bad header line 'graph 3'"),
+        ("trigraph x", "line 1: bad header line 'trigraph x'"),
+        ("trigraph 3 4", "line 1: bad header line 'trigraph 3 4'"),
+        ("\ntrigraph 65", "line 2: vertex count 65 outside supported range 0..64"),
+        ("trigraph 3\n0 1 B\n\n0 1", "line 4: bad pair line '0 1'"),
+        ("trigraph 3\n0 x B", "line 2: bad pair line '0 x B'"),
+        ("trigraph 3\n1 0 B", "line 2: pair (1, 0) not 0-based u < v < 3"),
+        ("trigraph 3\n# c\n0 3 B", "line 3: pair (0, 3) not 0-based u < v < 3"),
+        ("trigraph 3\n0 1 Q", "line 2: bad color 'Q' for pair (0, 1)"),
+        ("trigraph 3\n0 1 B\n0 2 G\n0 1 W", "line 4: duplicate pair (0, 1) (first on line 2)"),
+    ],
+    ids=["empty", "comments-only", "header-keyword", "header-count", "header-extra",
+         "vertex-count", "pair-line", "pair-token", "pair-order", "pair-range", "color",
+         "duplicate"],
+)
+def test_trigraph_errors_name_their_line(doc, message):
+    with pytest.raises(ValueError) as exc:
+        loads(doc)
+    assert str(exc.value) == message
