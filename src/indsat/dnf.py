@@ -25,7 +25,9 @@ C(F) with x ^ 2^v outside C(F) for every assigned v.  Free sets are
 walked depth first, each C(F) derived from its prefix's by
 ``np.searchsorted`` lookups; an empty C(F) prunes every superset.  An
 explicit 2^u completion sweep (``is_saturated_brute``) is kept as the
-independent oracle.
+independent oracle.  Only these kernels use numpy, and each imports it
+when called, so loading this module, ``is_saturated`` and the file
+reader do not.
 
 The minimization objective min_unassigned mirrors the trigraph
 minimum-gray objective; it is this artifact's framing, not a standard
@@ -35,13 +37,15 @@ quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
 from .patterns import PatternGraph, induced_placements
-from .textformat import load_file, read_document
+from .textformat import is_number, load_file, read_document
 from .trigraph import MAX_VERTICES, Trigraph, _bits, pair_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COMPLETION_CAP = 20
 MIN_UNASSIGNED_MAX_VARS = 21
@@ -231,6 +235,8 @@ def _screen(f: DnfFormula, free_mask: int) -> tuple[np.ndarray, list[tuple[int, 
     the assigned variables as (mask, pos) pairs; a clause with no assigned
     variable is completable under every assignment, so the rows are empty.
     """
+    import numpy as np
+
     assigned = ((1 << f.m) - 1) & ~free_mask
     by_top: dict[int, list[tuple[int, int]]] = {}
     for pos, neg in f.clauses:
@@ -253,6 +259,8 @@ def _saturated_true_masks(f: DnfFormula, free_mask: int) -> np.ndarray:
     Coverage: each surviving row is saturated iff every assigned variable
     is the only falsified literal of some clause.
     """
+    import numpy as np
+
     assigned = ((1 << f.m) - 1) & ~free_mask
     true, clauses = _screen(f, free_mask)
     covered = np.zeros_like(true)
@@ -264,6 +272,8 @@ def _saturated_true_masks(f: DnfFormula, free_mask: int) -> np.ndarray:
 
 def _member(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Which rows occur in the ascending, nonempty array table."""
+    import numpy as np
+
     at = np.searchsorted(table, rows)
     return table[np.minimum(at, table.size - 1)] == rows
 
@@ -278,6 +288,7 @@ def _cubes(s: np.ndarray, m: int, u: int):
     its prefix; an empty C(F) is also empty for every superset, so its
     subtree is skipped.  Every C(F) stays ascending.
     """
+    import numpy as np
 
     def walk(free: int, cube: np.ndarray, start: int, depth: int):
         if depth == u:
@@ -300,6 +311,8 @@ def _saturated_in_cube(cube: np.ndarray, assigned: int) -> np.ndarray:
     x's own completions over F all falsify the formula, so unassigning v
     admits a satisfying completion exactly when x ^ 2^v is not in C(F).
     """
+    import numpy as np
+
     rows = cube
     for v in _bits(assigned):
         rows = rows[~_member(rows ^ np.int64(1 << v), cube)]
@@ -362,7 +375,7 @@ def loads(text: str) -> DnfFormula:
     for no, tokens in body:
         signs = [0, 0]  # (positive mask, negative mask)
         for tok in tokens:
-            if not tok.removeprefix("-").isdecimal():
+            if not is_number(tok.removeprefix("-")):
                 raise ValueError(f"line {no}: bad literal {tok!r}")
             lit = int(tok)
             if lit == 0 or abs(lit) > m:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .textformat import load_file, read_document
+from .textformat import is_number, load_file, read_document
 from .trigraph import all_pairs, index_pair, pair_count, pair_index
 
 MAX_PATTERN_VERTICES = 8
@@ -207,7 +207,7 @@ def loads(text: str) -> PatternGraph:
     edges: dict[tuple[int, int], int] = {}  # edge -> line it is on
     for no, tokens in body:
         line = " ".join(tokens)
-        if len(tokens) != 2 or not all(t.isdecimal() for t in tokens):
+        if len(tokens) != 2 or not all(map(is_number, tokens)):
             raise ValueError(f"line {no}: bad edge line {line!r} (want two vertex numbers)")
         u, v = sorted(int(t) for t in tokens)
         if u == v:

@@ -20,6 +20,10 @@ search of ``flips_all_create`` on each class representative.
 
 A deliberately simple sweep over all 3^C(n,2) trigraphs, with no
 symmetry reduction or filtering, is kept as the agreement oracle.
+
+numpy is imported inside the functions that use it, so ``import indsat``
+and the saturation check do not load it; the first search or canonical
+form does.
 """
 
 from __future__ import annotations
@@ -29,14 +33,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dnf import DnfFormula, _saturated_true_masks
 from .errors import ResourceLimitError
 from .patterns import PatternGraph, induced_placements
 from .saturation import flips_all_create, is_indsat
 from .trigraph import Trigraph, _bits, all_pairs, pair_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CANONICAL_MAX_VERTICES = 8
 NAIVE_MAX_VERTICES = 5
@@ -59,6 +65,8 @@ class CanonicalForm:
 @lru_cache(maxsize=None)
 def _perm_pair_table(n: int) -> np.ndarray:
     """Row r maps each colex pair index to its image under permutation r."""
+    import numpy as np
+
     perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(factorial(n), n)
     pairs = np.array(list(all_pairs(n)), dtype=np.int64).reshape(-1, 2)
     a, b = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
@@ -68,6 +76,8 @@ def _perm_pair_table(n: int) -> np.ndarray:
 
 def canonical_key(t: Trigraph) -> int:
     """Minimal (gray << m) | black over all vertex permutations."""
+    import numpy as np
+
     n = t.n
     if n > CANONICAL_MAX_VERTICES:
         raise ResourceLimitError(
@@ -148,7 +158,10 @@ def isat_min(
     """Least gray count of an induced-h-saturated trigraph on n vertices.
 
     Scans gray-set sizes 0..k_max; returns min_gray=None if no witness
-    exists up to k_max (flagged, not an error).
+    exists up to k_max (flagged, not an error).  ``stats["levels"]`` has
+    one entry per gray count k searched: the gray-set classes run through
+    the kernel, the saturated rows it returned, their distinct witness
+    classes and the level's seconds.
     """
     if not 2 <= n <= SEARCH_MAX_VERTICES:
         raise ResourceLimitError(f"search supports 2 <= n <= {SEARCH_MAX_VERTICES}, got {n}")
@@ -161,16 +174,26 @@ def isat_min(
     start = time.perf_counter()
     min_gray, keys = None, set()
     reps = [0]
-    gray_classes = 0
+    levels = []
     for k in range(k_max + 1):
+        level_start = time.perf_counter()
         if k:
             reps = _augment(n, reps)
-        gray_classes += len(reps)
-        keys = {
-            canonical_key(Trigraph(n, black, gray))
+        rows = [
+            (gray, black)
             for gray in reps
             for black in _saturated_true_masks(formula, gray).tolist()
-        }
+        ]
+        keys = {canonical_key(Trigraph(n, black, gray)) for gray, black in rows}
+        levels.append(
+            {
+                "k": k,
+                "gray_classes": len(reps),
+                "saturated_rows": len(rows),
+                "witness_classes": len(keys),
+                "seconds": time.perf_counter() - level_start,
+            }
+        )
         if keys:
             min_gray = k
             break
@@ -182,9 +205,10 @@ def isat_min(
         witnesses,
         k_max,
         {
-            "gray_classes": gray_classes,
+            "gray_classes": sum(level["gray_classes"] for level in levels),
             "indsat_found": len(witnesses),
             "wall_time_s": time.perf_counter() - start,
+            "levels": levels,
         },
     )
 
@@ -231,6 +255,8 @@ def isat_min_naive(n: int, h: PatternGraph, label: str | None = None) -> SearchR
 
 def _black_array(m: int, gray_mask: int) -> np.ndarray:
     """All black masks over the non-gray pair positions, ascending."""
+    import numpy as np
+
     free = [i for i in range(m) if not gray_mask >> i & 1]
     x = np.arange(1 << len(free), dtype=np.int64)
     black = np.zeros(x.shape, dtype=np.int64)
@@ -243,6 +269,8 @@ def _no_realization_survivors(
     black: np.ndarray, gray_mask: int, clauses: tuple[tuple[int, int], ...]
 ) -> np.ndarray:
     """Colorings for which no induced placement is satisfiable."""
+    import numpy as np
+
     surv = black
     for pos, neg in clauses:
         if surv.size == 0:

@@ -2,6 +2,7 @@
 
 ``#`` starts a comment to the end of its line, blank lines are skipped,
 and lines keep their ``str.splitlines`` numbers so every error names one.
+A number is a run of ASCII digits.
 """
 
 from pathlib import Path
@@ -9,10 +10,15 @@ from pathlib import Path
 MAX_TOKEN_LENGTH = 4300  # Python's int() digit limit; no token of a valid document nears it
 
 
+def is_number(token: str) -> bool:
+    """Whether token is a run of ASCII digits (``str.isdecimal`` takes any script's)."""
+    return token.isascii() and token.isdecimal()
+
+
 def read_document(text: str, keyword: str, counts: int):
     """Return (header line number, header counts, [(line number, tokens)] per body line).
 
-    The header is ``<keyword>`` and `counts` decimal numbers.  Every
+    The header is ``<keyword>`` and `counts` numbers.  Every
     ValueError raised here starts ``line N:``.
     """
     lines = [(no, raw.split("#", 1)[0].split()) for no, raw in enumerate(text.splitlines(), 1)]
@@ -23,7 +29,7 @@ def read_document(text: str, keyword: str, counts: int):
     if not lines:
         raise ValueError(f"line 1: empty {keyword} document (no header line)")
     (head_no, head), body = lines[0], lines[1:]
-    if len(head) != counts + 1 or head[0] != keyword or not all(t.isdecimal() for t in head[1:]):
+    if len(head) != counts + 1 or head[0] != keyword or not all(map(is_number, head[1:])):
         raise ValueError(f"line {head_no}: bad header line {' '.join(head)!r}")
     return head_no, [int(t) for t in head[1:]], body
 

@@ -18,7 +18,7 @@ from enum import Enum
 from math import isqrt
 from typing import Iterable, Iterator
 
-from .textformat import load_file, read_document
+from .textformat import is_number, load_file, read_document
 
 MAX_VERTICES = 64
 
@@ -294,7 +294,7 @@ def loads(text: str) -> Trigraph:
     masks = dict.fromkeys("BGW", 0)
     first: dict[int, int] = {}  # pair bit -> line it is on
     for no, tokens in body:
-        if len(tokens) != 3 or not (tokens[0].isdecimal() and tokens[1].isdecimal()):
+        if len(tokens) != 3 or not (is_number(tokens[0]) and is_number(tokens[1])):
             raise ValueError(f"line {no}: bad pair line {' '.join(tokens)!r}")
         u, v, c = int(tokens[0]), int(tokens[1]), tokens[2]
         if not u < v < n:

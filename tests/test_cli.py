@@ -182,9 +182,13 @@ def test_pattern_file_run_is_labelled_by_file(capsys, tmp_path):
         ("pattern 3\n0 5\n", "line 2: vertex 5 out of range for a 3-vertex pattern"),
         ("# c\npattern 1\n", "line 2: pattern must have 2..8 vertices, got 1"),
         ("pattern 9\n0 1\n", "line 1: pattern must have 2..8 vertices, got 9"),
+        # Arabic-Indic digits pass str.isdecimal() but are not numbers of the format
+        ("pattern \u0663\n0 1\n", "line 1: bad header line 'pattern \u0663'"),
+        ("pattern 3\n0 \u0662\n", "line 2: bad edge line '0 \u0662' (want two vertex numbers)"),
     ],
     ids=["empty", "comments-only", "duplicate-edge", "bad-count", "non-numeric", "three-numbers",
-         "single-number", "self-loop", "out-of-range", "too-few-vertices", "too-many-vertices"],
+         "single-number", "self-loop", "out-of-range", "too-few-vertices", "too-many-vertices",
+         "count-non-ascii-digit", "edge-non-ascii-digit"],
 )
 def test_bad_pattern_file_is_one_line_error(capsys, tmp_path, text, message):
     pat = tmp_path / "bad.pat"

@@ -286,9 +286,13 @@ def test_dnf_rejects_malformed(doc):
         ("", "line 1: empty dnf document (no header line)"),
         ("# c\n\n", "line 1: empty dnf document (no header line)"),
         ("dnf 2017 1\n1", "line 1: variable count 2017 outside supported range 0..2016"),
+        # Arabic-Indic digits pass str.isdecimal() but are not numbers of the format
+        ("dnf \u0663 1\n1", "line 1: bad header line 'dnf \u0663 1'"),
+        ("dnf 3 1\n1 -\u0662", "line 2: bad literal '-\u0662'"),
     ],
     ids=["header-count", "header-negative", "token", "double-sign", "twice", "out-of-range",
-         "zero", "clause-count", "empty", "comments-only", "too-many-variables"],
+         "zero", "clause-count", "empty", "comments-only", "too-many-variables",
+         "header-non-ascii-digit", "literal-non-ascii-digit"],
 )
 def test_dnf_errors_name_their_line(doc, message):
     with pytest.raises(ValueError) as exc:

@@ -197,6 +197,23 @@ def test_naive_size_cap():
         isat_min_naive(6, P4)
 
 
+def test_level_stats_schema_and_totals():
+    res = isat_min(6, P4)
+    levels = res.stats["levels"]
+    assert [level["k"] for level in levels] == list(range(res.min_gray + 1))
+    for level in levels:
+        assert set(level) == {"k", "gray_classes", "saturated_rows", "witness_classes", "seconds"}
+        assert level["seconds"] >= 0
+        assert level["saturated_rows"] >= level["witness_classes"]
+    assert sum(level["gray_classes"] for level in levels) == res.stats["gray_classes"]
+    # graphs on 6 vertices with 0..3 edges (OEIS A008406); the 70 rows were
+    # counted with the scalar dnf.is_saturated over every coloring of each class
+    assert [level["gray_classes"] for level in levels] == [1, 1, 2, 5]
+    assert [level["saturated_rows"] for level in levels] == [0, 0, 0, 70]
+    assert [level["witness_classes"] for level in levels] == [0, 0, 0, 11]
+    assert len(res.witnesses) == 11
+
+
 def test_result_dict_schema():
     d = isat_min(4, P4).to_dict()
     assert set(d) == {

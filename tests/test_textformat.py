@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import indsat.dnf as dnf
 import indsat.patterns as patterns
 import indsat.trigraph as tri
-from indsat.textformat import load_file, read_document
+from indsat.textformat import is_number, load_file, read_document
 
 from conftest import trigraphs
 
@@ -95,6 +95,12 @@ def test_overlong_token_names_its_line():
     with pytest.raises(ValueError) as exc:
         dnf.loads("dnf 3 1\n1" + "0" * 5000)
     assert str(exc.value) == "line 2: token longer than 4300 characters"
+
+
+def test_numbers_are_ascii_digits():
+    assert is_number("0") and is_number("0123456789")
+    for token in ["", "-1", "+1", "1_0", " 1", "1.0", "\u0663", "1\u0660", "\uff11", "\u00b2"]:
+        assert not is_number(token), token
 
 
 def test_load_file_names_the_path(tmp_path):

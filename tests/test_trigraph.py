@@ -253,10 +253,13 @@ def test_text_rejects_malformed_documents(doc):
         ("trigraph 3\n# c\n0 3 B", "line 3: pair (0, 3) not 0-based u < v < 3"),
         ("trigraph 3\n0 1 Q", "line 2: bad color 'Q' for pair (0, 1)"),
         ("trigraph 3\n0 1 B\n0 2 G\n0 1 W", "line 4: duplicate pair (0, 1) (first on line 2)"),
+        # Arabic-Indic digits pass str.isdecimal() but are not numbers of the format
+        ("trigraph \u0663", "line 1: bad header line 'trigraph \u0663'"),
+        ("trigraph 3\n\u0660 \u0661 B", "line 2: bad pair line '\u0660 \u0661 B'"),
     ],
     ids=["empty", "comments-only", "header-keyword", "header-count", "header-extra",
          "vertex-count", "pair-line", "pair-token", "pair-order", "pair-range", "color",
-         "duplicate"],
+         "duplicate", "header-non-ascii-digit", "pair-non-ascii-digit"],
 )
 def test_trigraph_errors_name_their_line(doc, message):
     with pytest.raises(ValueError) as exc:
