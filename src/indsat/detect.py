@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import ResourceLimitError
@@ -118,63 +119,99 @@ def _compat_masks(t: Trigraph) -> tuple[list[int], list[int]]:
     return bg, wg
 
 
+def _linked(rel: list[int], a_set: int, b_set: int) -> Optional[tuple[int, int]]:
+    """Some (a, b) with a in a_set, b in b_set and b in rel[a], or None.
+
+    rel (bg or wg) is symmetric, so it scans whichever set has fewer bits
+    and tests the other with one AND per scanned vertex.
+    """
+    if a_set.bit_count() <= b_set.bit_count():
+        while a_set:
+            low = a_set & -a_set
+            a = low.bit_length() - 1
+            hit = rel[a] & b_set
+            if hit:
+                return a, (hit & -hit).bit_length() - 1
+            a_set ^= low
+    else:
+        while b_set:
+            low = b_set & -b_set
+            b = low.bit_length() - 1
+            hit = rel[b] & a_set
+            if hit:
+                return (hit & -hit).bit_length() - 1, b
+            b_set ^= low
+    return None
+
+
 def _find_p4(bg: list[int], wg: list[int], n: int) -> Optional[tuple[int, int, int, int]]:
-    """An injection realizing an induced 4-path, or None.
+    """An injection realizing an induced 4-path (v1, v2, v3, v4), or None.
 
     Enumerates the middle pair (v2 < v3) over black/gray pairs; reversal
-    symmetry makes one orientation per middle pair sufficient.
+    symmetry makes one orientation per middle pair sufficient.  The ends
+    are a v1 in bg[v2] & wg[v3] and a v4 in bg[v3] & wg[v2] with v4 in
+    wg[v1], found by `_linked` from the smaller side.
     """
     for v3 in range(n):
         below = bg[v3] & ((1 << v3) - 1)
-        for v2 in _bits(below):
-            c1 = bg[v2] & wg[v3]
-            if not c1:
-                continue
-            c4 = bg[v3] & wg[v2]
-            if not c4:
-                continue
-            for v1 in _bits(c1):
-                rest = c4 & wg[v1]
-                if rest:
-                    v4 = (rest & -rest).bit_length() - 1
-                    return v1, v2, v3, v4
+        while below:
+            low = below & -below
+            v2 = low.bit_length() - 1
+            ends = _linked(wg, bg[v2] & wg[v3], bg[v3] & wg[v2])
+            if ends is not None:
+                return ends[0], v2, v3, ends[1]
+            below ^= low
     return None
 
 
 def _find_p4_through(
     bg: list[int], wg: list[int], n: int, x: int, y: int
 ) -> Optional[tuple[int, int, int, int]]:
-    """An induced-4-path injection whose image contains both x and y.
+    """An induced-4-path injection (v1, v2, v3, v4) whose image contains x and y.
 
     Only sound as a full test when the caller knows the pair {x, y} is
-    usable in both roles (e.g. it was just recolored gray).
+    usable in both roles (e.g. it was just recolored gray).  Each of the
+    six roles {x, y} can play leaves two path vertices to find, a in a
+    set A and b in a set B, joined by an edge (b in bg[a]) or a nonedge
+    (b in wg[a]); `_linked` answers each from the smaller of A and B.
     """
-    # {x, y} as the middle pair
-    c1 = bg[x] & wg[y]
-    c4 = bg[y] & wg[x]
-    if c1 and c4:
-        for v1 in _bits(c1):
-            rest = c4 & wg[v1]
-            if rest:
-                return v1, x, y, (rest & -rest).bit_length() - 1
-    # {x, y} as an end plus its neighbor: p1=p, p2=q
+    bx, by, wx, wy = bg[x], bg[y], wg[x], wg[y]
+    # {x, y} as the middle pair, v2 = x, v3 = y: the ends are apart
+    found = _linked(wg, bx & wy, by & wx)
+    if found is not None:
+        return found[0], x, y, found[1]
+    # {x, y} as the two ends, v1 = x, v4 = y (reversal covers the swap):
+    # the middle vertices come from the same two sets and are joined
+    found = _linked(bg, bx & wy, by & wx)
+    if found is not None:
+        return x, found[0], found[1], y
+    # {x, y} as an end and its neighbor, v1 = p, v2 = q: v3 joined to v4
     for p, q in ((x, y), (y, x)):
-        for v3 in _bits(bg[q] & wg[p]):
-            rest = bg[v3] & wg[p] & wg[q]
-            if rest:
-                return p, q, v3, (rest & -rest).bit_length() - 1
-    # {x, y} as an end plus the far middle: p1=p, p3=q
+        found = _linked(bg, bg[q] & wg[p], wg[p] & wg[q])
+        if found is not None:
+            return p, q, found[0], found[1]
+    # {x, y} as an end and the far middle, v1 = p, v3 = q: v2 apart from v4
     for p, q in ((x, y), (y, x)):
-        for v2 in _bits(bg[p] & bg[q]):
-            rest = bg[q] & wg[p] & wg[v2]
-            if rest:
-                return p, v2, q, (rest & -rest).bit_length() - 1
-    # {x, y} as the two ends: p1=x, p4=y (reversal covers the swap)
-    for v2 in _bits(bg[x] & wg[y]):
-        rest = bg[v2] & bg[y] & wg[x]
-        if rest:
-            return x, v2, (rest & -rest).bit_length() - 1, y
+        found = _linked(wg, bg[p] & bg[q], bg[q] & wg[p])
+        if found is not None:
+            return p, found[0], q, found[1]
     return None
+
+
+@lru_cache(maxsize=None)
+def _p4_labels(h: PatternGraph) -> Optional[itemgetter]:
+    """For a pattern h isomorphic to P4, what reads path-order images in h's labels; else None.
+
+    The P4 kernels return images in path order (v1, v2, v3, v4).  The
+    getter picks, for each vertex of h in turn, the image at that
+    vertex's position along the path.
+    """
+    if not is_path4(h):
+        return None
+    path = [min(v for v in range(4) if h.degree(v) == 1)]
+    while len(path) < 4:
+        path.append(next(v for v in range(4) if v not in path and h.has_edge(path[-1], v)))
+    return itemgetter(*(path.index(v) for v in range(4)))
 
 
 def _search_order(h: PatternGraph, first: tuple[int, ...] = ()) -> list[int]:
@@ -195,63 +232,85 @@ def _search_order(h: PatternGraph, first: tuple[int, ...] = ()) -> list[int]:
     return order
 
 
+@lru_cache(maxsize=None)
+def _search_plan(
+    h: PatternGraph, first: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
+    """The injection search's plan for h with the vertices `first` placed first.
+
+    Returns (order, checks): order[d] is the pattern vertex placed at
+    depth d, and checks[d] holds one (j, is_edge) per earlier depth j < d,
+    is_edge telling whether order[j] and order[d] are adjacent in h.  The
+    image at depth d must then lie in bg[image j] for each edge and in
+    wg[image j] for each nonedge.  Built once per (pattern, anchored
+    vertices), so a search never consults h itself.
+    """
+    order = tuple(_search_order(h, first))
+    checks = tuple(
+        tuple((j, h.has_edge(order[j], v)) for j in range(d)) for d, v in enumerate(order)
+    )
+    return order, checks
+
+
 def _find_generic(
     bg: list[int],
     wg: list[int],
     n: int,
     h: PatternGraph,
-    anchors: dict[int, int] | None = None,
+    anchors: tuple[tuple[int, int], ...] = (),
 ) -> Optional[tuple[int, ...]]:
-    """Backtracking injection search for arbitrary patterns (k <= 8)."""
+    """Depth-first injection search for arbitrary patterns (k <= 8), or None.
+
+    anchors fixes the images of some pattern vertices, as (pattern vertex,
+    image) pairs; inconsistent anchors give None.  The search follows
+    `_search_plan(h, anchored vertices)`: the candidates at depth d are
+    the vertices allowed by every check of checks[d].  Since neither
+    bg[v] nor wg[v] contains v and every earlier depth is checked, the
+    candidates exclude the images already used.  The stacks hold the
+    image and the untried candidates of each depth; a candidate is taken
+    as the lowest set bit.  Returns the images indexed by pattern vertex.
+    """
     k = h.k
     if k > n:
         return None
-    anchors = anchors or {}
-    order = _search_order(h, tuple(anchors))
-    images = [-1] * k
-    used = 0
-    for v, img in anchors.items():
-        images[v] = img
-        used |= 1 << img
+    order, checks = _search_plan(h, tuple([v for v, _ in anchors]))
+    images = [0] * k  # by depth, not by pattern vertex
+    for depth, (_, img) in enumerate(anchors):
+        for j, is_edge in checks[depth]:
+            if not (bg[images[j]] if is_edge else wg[images[j]]) >> img & 1:
+                return None
+        images[depth] = img
     full = (1 << n) - 1
-
-    def extend(depth: int, used: int) -> bool:
-        if depth == k:
-            return True
-        hv = order[depth]
-        cand = full & ~used
-        for j in range(depth):
-            hu = order[j]
-            mask = bg[images[hu]] if h.has_edge(hu, hv) else wg[images[hu]]
-            cand &= mask
-            if not cand:
-                return False
-        for tv in _bits(cand):
-            images[hv] = tv
-            if extend(depth + 1, used | (1 << tv)):
-                return True
-        images[hv] = -1
-        return False
-
-    # anchored images must be mutually consistent before searching
-    placed = list(anchors)
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            a, b = placed[i], placed[j]
-            mask = bg[images[a]] if h.has_edge(a, b) else wg[images[a]]
-            if not mask >> images[b] & 1:
-                return False
-    if extend(len(anchors), used):
-        return tuple(images)
-    return None
+    cands = [0] * k  # untried candidates by depth
+    depth = base = len(anchors)
+    while depth < k:
+        cand = full
+        for j, is_edge in checks[depth]:
+            cand &= bg[images[j]] if is_edge else wg[images[j]]
+        # back up to the deepest depth with a candidate left
+        while not cand:
+            depth -= 1
+            if depth < base:
+                return None
+            cand = cands[depth]
+        low = cand & -cand
+        cands[depth] = cand ^ low
+        images[depth] = low.bit_length() - 1
+        depth += 1
+    found = [0] * k
+    for depth, v in enumerate(order):
+        found[v] = images[depth]
+    return tuple(found)
 
 
 def _find_injection(t: Trigraph, h: PatternGraph) -> Optional[tuple[int, ...]]:
     if h.k > t.n:
         return None
     bg, wg = _compat_masks(t)
-    if is_path4(h):
-        return _find_p4(bg, wg, t.n)
+    pick = _p4_labels(h)
+    if pick is not None:
+        found = _find_p4(bg, wg, t.n)
+        return None if found is None else pick(found)
     return _find_generic(bg, wg, t.n, h)
 
 
@@ -267,10 +326,12 @@ def _find_injection_through(
     """
     if h.k > n:
         return None
-    if is_path4(h):
-        return _find_p4_through(bg, wg, n, x, y)
+    pick = _p4_labels(h)
+    if pick is not None:
+        found = _find_p4_through(bg, wg, n, x, y)
+        return None if found is None else pick(found)
     for hi, hj in anchor_pair_orbits(h):
-        found = _find_generic(bg, wg, n, h, anchors={hi: x, hj: y})
+        found = _find_generic(bg, wg, n, h, ((hi, x), (hj, y)))
         if found is not None:
             return found
     return None

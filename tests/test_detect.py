@@ -13,7 +13,16 @@ from indsat.detect import (
     realize,
 )
 from indsat.errors import ResourceLimitError
-from indsat.patterns import C4, K3, P3, P4, complete_graph, complete_minus_edge, path_graph
+from indsat.patterns import (
+    C4,
+    K3,
+    P3,
+    P4,
+    complete_graph,
+    complete_minus_edge,
+    from_edges,
+    path_graph,
+)
 from indsat.trigraph import BLACK, GRAY, WHITE, Trigraph, complete_gray, from_pairs, pair_count
 
 from conftest import all_trigraphs, trigraphs
@@ -149,3 +158,31 @@ def test_generic_patterns_against_brute():
     t = complete_gray(5)
     for h in patterns:
         assert has_realization_of(t, h) == has_realization_brute(t, h)
+
+
+def test_generic_search_with_inconsistent_anchors_finds_nothing():
+    from indsat.detect import _compat_masks, _find_generic
+
+    t = from_pairs(4, black=[(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])  # (0, 1) white
+    bg, wg = _compat_masks(t)
+    # a triangle through the white pair: None, not a falsy non-None value
+    assert _find_generic(bg, wg, 4, K3, ((0, 0), (1, 1))) is None
+    assert _find_generic(bg, wg, 4, K3, ((0, 0), (1, 2))) == (0, 2, 3)
+
+
+def test_search_plan_checks_every_earlier_depth():
+    from indsat.detect import _search_plan
+
+    order, checks = _search_plan(P4, (1, 3))
+    assert order[:2] == (1, 3) and sorted(order) == [0, 1, 2, 3]
+    for d, v in enumerate(order):
+        assert checks[d] == tuple((j, P4.has_edge(order[j], v)) for j in range(d))
+    assert _search_plan(P4, (1, 3)) is _search_plan(P4, (1, 3))
+
+
+def test_relabelled_path_witness_uses_the_pattern_labels():
+    relabelled = from_edges(4, [(1, 0), (0, 2), (2, 3)])  # the path 1-0-2-3
+    t = from_pairs(4, black=[(0, 1), (1, 2), (2, 3)])
+    emb = find_embedding(t, relabelled)
+    assert emb is not None and embedding_is_valid(t, relabelled, emb)
+    assert emb.vertices in ((1, 0, 2, 3), (2, 3, 1, 0))

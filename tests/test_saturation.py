@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,20 @@ from hypothesis import strategies as st
 import indsat.detect
 from indsat.constructions import construct_tn
 from indsat.detect import embedding_is_valid, has_realization_brute, has_realization_of
-from indsat.patterns import C4, K3, P3, P4, complete_graph, complete_minus_edge
+from indsat.patterns import (
+    C4,
+    K3,
+    P3,
+    P4,
+    PatternGraph,
+    anchor_pair_orbits,
+    complete_graph,
+    complete_minus_edge,
+    cycle_graph,
+    from_edges,
+    isomorphic,
+    path_graph,
+)
 from indsat.saturation import (
     GrayShape,
     classify_gray_components,
@@ -13,8 +28,11 @@ from indsat.saturation import (
     partition_star,
     partition_triangle,
 )
+from indsat.search import isat_min
 from indsat.trigraph import (
+    BLACK,
     GRAY,
+    WHITE,
     Trigraph,
     all_pairs,
     complete_gray,
@@ -91,6 +109,136 @@ def test_flip_loop_builds_compat_masks_once(monkeypatch):
         calls.clear()
         assert is_indsat(t, h).is_indsat
         assert len(calls) <= 2, (h, len(calls))
+
+
+def graphs_on_4():
+    """One graph per isomorphism class on 4 vertices, the lowest edge mask of each."""
+    reps = []
+    for mask in range(1 << pair_count(4)):
+        g = PatternGraph(4, mask)
+        if not any(isomorphic(g, r) for r in reps):
+            reps.append(g)
+    return tuple(reps)
+
+
+GRAPHS_ON_4 = graphs_on_4()
+BULL = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+FIVE_VERTEX_PATTERNS = (path_graph(5), cycle_graph(5), BULL)
+
+
+def assert_matches_oracle_with_witnesses(t, h):
+    rep = is_indsat(t, h, want_witnesses=True)
+    assert (rep.holds_free, rep.failing_flip) == brute_report(t, h), (h, t)
+    for (u, v), emb in (rep.witness_flips or {}).items():
+        assert embedding_is_valid(t.flip(u, v), h, emb), (h, t, (u, v), emb)
+        assert {u, v} <= set(emb.vertices), (h, t, (u, v), emb)
+
+
+def test_graphs_on_4_are_the_eleven_classes():
+    assert len(GRAPHS_ON_4) == 11
+    # the lowest P4 mask is the path 2-0-1-3, not 0-1-2-3
+    assert P4 not in GRAPHS_ON_4 and any(isomorphic(g, P4) for g in GRAPHS_ON_4)
+
+
+def test_every_4_vertex_pattern_matches_oracle_exhaustive_n4():
+    # anchors in several Aut(h)-orbits, and P4 under other labels
+    for h in GRAPHS_ON_4:
+        for n in range(2, 5):
+            for t in all_trigraphs(n):
+                assert_matches_oracle_with_witnesses(t, h)
+
+
+@lru_cache(maxsize=None)
+def saturated_examples(n, h):
+    """The minimum induced-h-saturated trigraphs on n vertices, one per class."""
+    return tuple(Trigraph(n, w.black, w.gray) for w in isat_min(n, h).witnesses)
+
+
+@st.composite
+def pattern_and_trigraph(draw, patterns):
+    """(h, t) on 5-6 vertices with at most 12 gray pairs.
+
+    Half the time t is a relabelled minimum h-saturated trigraph, with one
+    pair recolored at random, so that many flips succeed before the check
+    ends; otherwise it is drawn sparse or dense.
+    """
+    h = draw(st.sampled_from(patterns))
+    n = draw(st.integers(5, 6))
+    examples = saturated_examples(n, h)
+    if not examples or draw(st.booleans()):
+        t = draw(sparse_or_dense_trigraphs(n, n).filter(lambda t: t.gray_count <= 12))
+        return h, t
+    t = draw(st.sampled_from(examples)).permute(draw(st.permutations(range(n))))
+    color = draw(st.sampled_from((BLACK, WHITE, GRAY, None)))
+    if color is None:
+        return h, t
+    bit = 1 << draw(st.integers(0, pair_count(n) - 1))
+    black, gray = t.black & ~bit, t.gray & ~bit
+    if color is BLACK:
+        black |= bit
+    elif color is GRAY:
+        gray |= bit
+    return h, Trigraph(n, black, gray)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern_and_trigraph(GRAPHS_ON_4))
+def test_every_4_vertex_pattern_matches_oracle_sampled(case):
+    h, t = case
+    assert_matches_oracle_with_witnesses(t, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pattern_and_trigraph(FIVE_VERTEX_PATTERNS))
+def test_five_vertex_patterns_match_oracle_sampled(case):
+    h, t = case
+    assert_matches_oracle_with_witnesses(t, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trigraphs(min_n=4, max_n=7), st.data())
+def test_p4_kernel_agrees_with_anchored_generic_search(t, data):
+    # the flip loop's state: the pair {x, y} usable both ways, as if just grayed
+    x = data.draw(st.integers(0, t.n - 2))
+    y = data.draw(st.integers(x + 1, t.n - 1))
+    if data.draw(st.booleans()):
+        x, y = y, x
+    bg, wg = indsat.detect._compat_masks(t)
+    for a, b in ((x, y), (y, x)):
+        bg[a] |= 1 << b
+        wg[a] |= 1 << b
+    path = indsat.detect._find_p4_through(bg, wg, t.n, x, y)
+    anchored = [
+        indsat.detect._find_generic(bg, wg, t.n, P4, ((hi, x), (hj, y)))
+        for hi, hj in anchor_pair_orbits(P4)
+    ]
+    assert (path is not None) == any(found is not None for found in anchored)
+    flipped = t if t.color(x, y) is GRAY else t.flip(x, y)
+    for images in [path] + anchored:
+        if images is not None:
+            emb = indsat.detect._embedding_from(flipped, P4, images)
+            assert embedding_is_valid(flipped, P4, emb) and {x, y} <= set(images)
+
+
+def gray_book(n):
+    """Vertices 0 and 1 gray to each other and to every other vertex; K4-saturated."""
+    return from_pairs(n, gray=[(0, 1)] + [(s, v) for s in (0, 1) for v in range(2, n)])
+
+
+def test_flip_loop_plans_each_anchoring_once(monkeypatch):
+    calls = []
+    real = indsat.detect._search_order
+
+    def counting(h, first=()):
+        calls.append(first)
+        return real(h, first)
+
+    indsat.detect._search_plan.cache_clear()
+    monkeypatch.setattr(indsat.detect, "_search_order", counting)
+    k4 = complete_graph(4)
+    assert is_indsat(gray_book(20), k4).is_indsat
+    # once for condition (a) and once per anchor orbit, not once per flip
+    assert len(calls) <= len(anchor_pair_orbits(k4)) + 1, calls
 
 
 def test_layered_construction_is_saturated_small():
