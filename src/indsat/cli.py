@@ -22,7 +22,14 @@ from pathlib import Path
 from . import __version__, dnf as dnf_mod
 from . import patterns as pat_mod
 from . import trigraph as tri_mod
-from .constructions import construct_alternative, construct_tn, isat_formula, parse_family, sat_formula
+from .constructions import (
+    VARIANTS,
+    construct_alternative,
+    construct_tn,
+    isat_formula,
+    parse_family,
+    sat_formula,
+)
 from .errors import ResourceLimitError
 from .facts import run_fact_checks
 from .saturation import is_indsat
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="write an extremal trigraph in the text format")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--variant", choices=["paper", "alt"], default="paper")
+    p.add_argument("--variant", choices=VARIANTS, default="paper")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_construct)
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import ResourceLimitError
-from .patterns import PatternGraph, anchor_pair_orbits, is_path4, isomorphic
+from .patterns import PatternGraph, anchor_pair_orbits, isomorphic
 from .trigraph import (
     BLACK,
     GRAY,
@@ -198,22 +198,6 @@ def _find_p4_through(
     return None
 
 
-@lru_cache(maxsize=None)
-def _p4_labels(h: PatternGraph) -> Optional[itemgetter]:
-    """For a pattern h isomorphic to P4, what reads path-order images in h's labels; else None.
-
-    The P4 kernels return images in path order (v1, v2, v3, v4).  The
-    getter picks, for each vertex of h in turn, the image at that
-    vertex's position along the path.
-    """
-    if not is_path4(h):
-        return None
-    path = [min(v for v in range(4) if h.degree(v) == 1)]
-    while len(path) < 4:
-        path.append(next(v for v in range(4) if v not in path and h.has_edge(path[-1], v)))
-    return itemgetter(*(path.index(v) for v in range(4)))
-
-
 def _search_order(h: PatternGraph, first: tuple[int, ...] = ()) -> list[int]:
     """Vertex order for backtracking: anchored vertices, then connectivity-first."""
     order = list(first)
@@ -232,50 +216,68 @@ def _search_order(h: PatternGraph, first: tuple[int, ...] = ()) -> list[int]:
     return order
 
 
-@lru_cache(maxsize=None)
-def _search_plan(
-    h: PatternGraph, first: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
-    """The injection search's plan for h with the vertices `first` placed first.
+class _Plan(NamedTuple):
+    """How the detectors search for one pattern h; built once per pattern by `_plan`.
 
-    Returns (order, checks): order[d] is the pattern vertex placed at
-    depth d, and checks[d] holds one (j, is_edge) per earlier depth j < d,
-    is_edge telling whether order[j] and order[d] are adjacent in h.  The
-    image at depth d must then lie in bg[image j] for each edge and in
-    wg[image j] for each nonedge.  Built once per (pattern, anchored
-    vertices), so a search never consults h itself.
+    A search plan is (order, checks): order[d] is the pattern vertex
+    placed at depth d, and checks[d] holds one (j, is_edge) per earlier
+    depth j < d, is_edge telling whether order[j] and order[d] are
+    adjacent in h.  The image at depth d must then lie in bg[image j] for
+    each edge and in wg[image j] for each nonedge.
     """
-    order = tuple(_search_order(h, first))
-    checks = tuple(
-        tuple((j, h.has_edge(order[j], v)) for j in range(d)) for d, v in enumerate(order)
-    )
-    return order, checks
+
+    p4: Optional[itemgetter]  # path-order images -> h's labels, when h is a P4
+    whole: tuple  # the unanchored search plan, for condition (a)
+    through: tuple  # one plan per Aut(h)-orbit of ordered pairs, that pair placed first
+
+
+@lru_cache(maxsize=None)
+def _plan(h: PatternGraph) -> _Plan:
+    """The detectors' plan for h, so that no search consults h itself.
+
+    h is a P4 exactly when it has 4 vertices, 3 edges and two vertices of
+    degree 1 (its degrees are then 1, 1, 2, 2, and no triangle fits).  The
+    P4 kernels return images in path order (v1, v2, v3, v4); the getter
+    picks, for each vertex of h in turn, the image at that vertex's
+    position along the path walked from the lower end.
+    """
+
+    def searched(first: tuple[int, ...]) -> tuple:
+        order = tuple(_search_order(h, first))
+        return order, tuple(
+            tuple((j, h.has_edge(order[j], v)) for j in range(d)) for d, v in enumerate(order)
+        )
+
+    degrees = h.degrees()
+    p4 = None
+    if h.k == 4 and h.edge_count() == 3 and degrees.count(1) == 2:
+        path = [degrees.index(1)]
+        while len(path) < 4:
+            path.append(next(v for v in range(4) if v not in path and h.has_edge(path[-1], v)))
+        p4 = itemgetter(*(path.index(v) for v in range(4)))
+    return _Plan(p4, searched(()), tuple(searched(pair) for pair in anchor_pair_orbits(h)))
 
 
 def _find_generic(
-    bg: list[int],
-    wg: list[int],
-    n: int,
-    h: PatternGraph,
-    anchors: tuple[tuple[int, int], ...] = (),
+    bg: list[int], wg: list[int], n: int, plan: tuple, anchors: tuple[int, ...] = ()
 ) -> Optional[tuple[int, ...]]:
     """Depth-first injection search for arbitrary patterns (k <= 8), or None.
 
-    anchors fixes the images of some pattern vertices, as (pattern vertex,
-    image) pairs; inconsistent anchors give None.  The search follows
-    `_search_plan(h, anchored vertices)`: the candidates at depth d are
-    the vertices allowed by every check of checks[d].  Since neither
-    bg[v] nor wg[v] contains v and every earlier depth is checked, the
-    candidates exclude the images already used.  The stacks hold the
-    image and the untried candidates of each depth; a candidate is taken
-    as the lowest set bit.  Returns the images indexed by pattern vertex.
+    plan is one (order, checks) of a `_Plan`, and anchors fixes the images
+    of its first depths; inconsistent anchors give None.  The candidates
+    at depth d are the vertices allowed by every check of checks[d].
+    Since neither bg[v] nor wg[v] contains v and every earlier depth is
+    checked, the candidates exclude the images already used.  The stacks
+    hold the image and the untried candidates of each depth; a candidate
+    is taken as the lowest set bit.  Returns the images indexed by
+    pattern vertex.
     """
-    k = h.k
+    order, checks = plan
+    k = len(order)
     if k > n:
         return None
-    order, checks = _search_plan(h, tuple([v for v, _ in anchors]))
     images = [0] * k  # by depth, not by pattern vertex
-    for depth, (_, img) in enumerate(anchors):
+    for depth, img in enumerate(anchors):
         for j, is_edge in checks[depth]:
             if not (bg[images[j]] if is_edge else wg[images[j]]) >> img & 1:
                 return None
@@ -307,31 +309,30 @@ def _find_injection(t: Trigraph, h: PatternGraph) -> Optional[tuple[int, ...]]:
     if h.k > t.n:
         return None
     bg, wg = _compat_masks(t)
-    pick = _p4_labels(h)
-    if pick is not None:
+    plan = _plan(h)
+    if plan.p4 is not None:
         found = _find_p4(bg, wg, t.n)
-        return None if found is None else pick(found)
-    return _find_generic(bg, wg, t.n, h)
+        return None if found is None else plan.p4(found)
+    return _find_generic(bg, wg, t.n, plan.whole)
 
 
 def _find_injection_through(
-    bg: list[int], wg: list[int], n: int, h: PatternGraph, x: int, y: int
+    bg: list[int], wg: list[int], n: int, plan: _Plan, x: int, y: int
 ) -> Optional[tuple[int, ...]]:
     """Injection whose image contains x and y (both pair roles allowed).
 
-    Works on the compatibility masks alone, so a caller checking many
-    flips builds the masks once and, per flip, sets the pair's two
-    symmetric bits before the call and clears them after it.  The
-    generic search anchors one ordered pattern pair per Aut(h)-orbit.
+    Works on the compatibility masks and the pattern's `_plan` alone, so a
+    caller checking many flips fetches both once and, per flip, sets the
+    pair's two symmetric bits before the call and clears them after it.
+    The generic search anchors one ordered pattern pair per Aut(h)-orbit.
+    A P4 kernel's path needs four distinct vertices, so it finds none
+    when n < 4, as `_find_generic` does for any pattern larger than n.
     """
-    if h.k > n:
-        return None
-    pick = _p4_labels(h)
-    if pick is not None:
+    if plan.p4 is not None:
         found = _find_p4_through(bg, wg, n, x, y)
-        return None if found is None else pick(found)
-    for hi, hj in anchor_pair_orbits(h):
-        found = _find_generic(bg, wg, n, h, ((hi, x), (hj, y)))
+        return None if found is None else plan.p4(found)
+    for anchored in plan.through:
+        found = _find_generic(bg, wg, n, anchored, (x, y))
         if found is not None:
             return found
     return None

@@ -1,9 +1,12 @@
 """Structural checks over exhaustively enumerated saturated trigraphs.
 
 Each check encodes one proven property of induced-4-path-saturated
-trigraphs as an executable test over a witness corpus:
+trigraphs as an executable test over a witness corpus, so the corpus
+checks run for P4 alone:
 
   complement_closure   the complement of a witness is again saturated
+                       (T is h-saturated iff its complement is
+                       saturated for the complement of h)
   monochromatic_cut    an all-black or all-white cut splits a witness
                        into two saturated halves
   same_neighborhood    a gray-free cut with identical outside
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .patterns import P4, PatternGraph
+from .patterns import P4, PatternGraph, isomorphic
 from .saturation import (
     GrayShape,
     classify_gray_components,
@@ -36,7 +39,7 @@ from .trigraph import BLACK, GRAY, WHITE, Trigraph
 
 
 def check_complement_closure(t: Trigraph, h: PatternGraph) -> list[str]:
-    if not is_indsat(t.complement(), h).is_indsat:
+    if not is_indsat(t.complement(), h.complement()).is_indsat:
         return ["complement is not saturated"]
     return []
 
@@ -177,7 +180,13 @@ class FactsReport:
 
 
 def run_fact_checks(n: int, h: PatternGraph = P4) -> FactsReport:
-    """Run every check over all saturated trigraphs on n vertices."""
+    """Run every check over all saturated trigraphs on n vertices.
+
+    Every check but complement closure is a lemma about P4, so any other
+    pattern is a ValueError.
+    """
+    if not isomorphic(h, P4):
+        raise ValueError("facts checks lemmas about P4; the pattern is not a 4-vertex path")
     witnesses = all_indsat_witnesses(n, h)
     forms = {w for w in witnesses}
     report = FactsReport(n, len(witnesses), {name: [] for name in CHECKS})

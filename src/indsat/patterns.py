@@ -127,12 +127,6 @@ def isomorphic(g: PatternGraph, h: PatternGraph) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
-def is_path4(h: PatternGraph) -> bool:
-    return h.k == 4 and isomorphic(h, P4)
-
-
-@lru_cache(maxsize=None)
 def anchor_pair_orbits(h: PatternGraph) -> tuple[tuple[int, int], ...]:
     """One ordered pair of distinct vertices per orbit of Aut(h), in lexicographic order.
 
@@ -153,11 +147,6 @@ def anchor_pair_orbits(h: PatternGraph) -> tuple[tuple[int, int], ...]:
             reps.append((a, b))
             covered.update((perm[a], perm[b]) for perm in autos)
     return tuple(reps)
-
-
-@lru_cache(maxsize=None)
-def is_self_complementary(h: PatternGraph) -> bool:
-    return isomorphic(h, h.complement())
 
 
 @lru_cache(maxsize=None)

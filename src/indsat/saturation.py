@@ -59,13 +59,16 @@ def flips_all_create(
     Assumes condition (a) holds for t, which makes it sound to search
     only injections through the flipped pair: any witness avoiding it
     would already be a witness in t.  The compatibility masks are built
-    once; each flip sets the pair's two symmetric bits (in wg for a black
-    pair, in bg for a white one), searches, and clears them again.
+    and the pattern's plan fetched once; each flip sets the pair's two
+    symmetric bits (in wg for a black pair, in bg for a white one),
+    searches, and clears them again.
     Returns (first failing pair or None, witness map if collect).
     """
     witnesses: Optional[dict[tuple[int, int], Embedding]] = {} if collect else None
     # looked up on the module so that one patch point sees every mask build
+    # and every plan fetch
     bg, wg = detect._compat_masks(t)
+    plan = detect._plan(h)
     nongray = ((1 << pair_count(t.n)) - 1) & ~t.gray
     for i in _bits(nongray):
         u, v = index_pair(i)
@@ -73,7 +76,7 @@ def flips_all_create(
         side = wg if t.black >> i & 1 else bg
         side[u] ^= 1 << v
         side[v] ^= 1 << u
-        images = _find_injection_through(bg, wg, t.n, h, u, v)
+        images = _find_injection_through(bg, wg, t.n, plan, u, v)
         side[u] ^= 1 << v
         side[v] ^= 1 << u
         if images is None:

@@ -1,7 +1,9 @@
 """The line format shared by the trigraph, DNF and pattern files.
 
 ``#`` starts a comment to the end of its line, blank lines are skipped,
-and lines keep their ``str.splitlines`` numbers so every error names one.
+and every error names its line.  Lines end at ``\n`` alone, as an
+editor numbers them; a ``\r`` before it (CRLF) is whitespace, and so are
+``\x0c``, ``\x85`` and the other breaks ``str.splitlines`` would honour.
 A number is a run of ASCII digits.
 """
 
@@ -21,7 +23,7 @@ def read_document(text: str, keyword: str, counts: int):
     The header is ``<keyword>`` and `counts` numbers.  Every
     ValueError raised here starts ``line N:``.
     """
-    lines = [(no, raw.split("#", 1)[0].split()) for no, raw in enumerate(text.splitlines(), 1)]
+    lines = [(no, raw.split("#", 1)[0].split()) for no, raw in enumerate(text.split("\n"), 1)]
     lines = [(no, tokens) for no, tokens in lines if tokens]
     for no, tokens in lines:
         if max(map(len, tokens)) > MAX_TOKEN_LENGTH:

@@ -141,6 +141,23 @@ def test_facts_subcommand(capsys):
     assert report["result"]["ok"] is True
 
 
+def test_facts_rejects_a_pattern_other_than_p4(capsys):
+    # the checks are lemmas about P4; a K3 corpus would report false violations
+    code, out, err = run(capsys, "facts", "--n", "4", "--pattern", "k3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "P4" in err
+
+
+def test_construct_variant_choices_are_the_library_variants(capsys):
+    from indsat.constructions import VARIANTS
+
+    for variant in VARIANTS:
+        assert run(capsys, "construct", "--n", "9", "--variant", variant)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--n", "9", "--variant", "other"])
+    assert exc.value.code == 2
+
+
 def test_pattern_file(capsys, tmp_path):
     pat = tmp_path / "p3.pat"
     pat.write_text("pattern 3\n0 1\n1 2\n", encoding="utf-8")

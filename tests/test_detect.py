@@ -18,12 +18,24 @@ from indsat.patterns import (
     K3,
     P3,
     P4,
+    PatternGraph,
+    anchor_pair_orbits,
     complete_graph,
     complete_minus_edge,
     from_edges,
+    isomorphic,
     path_graph,
 )
-from indsat.trigraph import BLACK, GRAY, WHITE, Trigraph, complete_gray, from_pairs, pair_count
+from indsat.trigraph import (
+    BLACK,
+    GRAY,
+    WHITE,
+    Trigraph,
+    all_pairs,
+    complete_gray,
+    from_pairs,
+    pair_count,
+)
 
 from conftest import all_trigraphs, trigraphs
 
@@ -161,23 +173,44 @@ def test_generic_patterns_against_brute():
 
 
 def test_generic_search_with_inconsistent_anchors_finds_nothing():
-    from indsat.detect import _compat_masks, _find_generic
+    from indsat.detect import _compat_masks, _find_generic, _plan
 
     t = from_pairs(4, black=[(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])  # (0, 1) white
     bg, wg = _compat_masks(t)
+    (anchored,) = _plan(K3).through  # Aut(K3) has one orbit of ordered pairs
+    assert anchored[0][:2] == (0, 1)
     # a triangle through the white pair: None, not a falsy non-None value
-    assert _find_generic(bg, wg, 4, K3, ((0, 0), (1, 1))) is None
-    assert _find_generic(bg, wg, 4, K3, ((0, 0), (1, 2))) == (0, 2, 3)
+    assert _find_generic(bg, wg, 4, anchored, (0, 1)) is None
+    assert _find_generic(bg, wg, 4, anchored, (0, 2)) == (0, 2, 3)
 
 
 def test_search_plan_checks_every_earlier_depth():
-    from indsat.detect import _search_plan
+    from indsat.detect import _plan
 
-    order, checks = _search_plan(P4, (1, 3))
-    assert order[:2] == (1, 3) and sorted(order) == [0, 1, 2, 3]
-    for d, v in enumerate(order):
-        assert checks[d] == tuple((j, P4.has_edge(order[j], v)) for j in range(d))
-    assert _search_plan(P4, (1, 3)) is _search_plan(P4, (1, 3))
+    plan = _plan(P4)
+    orbits = anchor_pair_orbits(P4)
+    assert len(plan.through) == len(orbits)
+    for first, (order, checks) in [((), plan.whole), *zip(orbits, plan.through)]:
+        assert order[: len(first)] == first and sorted(order) == [0, 1, 2, 3]
+        for d, v in enumerate(order):
+            assert checks[d] == tuple((j, P4.has_edge(order[j], v)) for j in range(d))
+    assert _plan(P4) is _plan(P4)
+
+
+def test_plan_recognizes_exactly_the_labelled_p4s():
+    from indsat.detect import _plan
+
+    p4s = 0
+    for mask in range(1 << pair_count(4)):
+        h = PatternGraph(4, mask)
+        pick = _plan(h).p4
+        assert (pick is not None) == isomorphic(h, P4), h
+        if pick is not None:
+            p4s += 1
+            position = pick((0, 1, 2, 3))  # h's vertex -> its place along the path
+            for u, v in all_pairs(4):
+                assert h.has_edge(u, v) == (abs(position[u] - position[v]) == 1), h
+    assert p4s == 12
 
 
 def test_relabelled_path_witness_uses_the_pattern_labels():

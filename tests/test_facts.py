@@ -10,7 +10,8 @@ from indsat.facts import (
     check_z_cut_colors,
     run_fact_checks,
 )
-from indsat.patterns import P4
+from indsat.patterns import C4, K3, P3, P4
+from indsat.search import all_indsat_witnesses
 from indsat.trigraph import Trigraph, from_pairs, pair_count
 
 
@@ -46,6 +47,19 @@ def test_gray_edge_check_flags_grayless():
 def test_complement_check_flags_unsaturated_complement():
     # all-white on 2 vertices: its complement (all black) is not saturated
     assert check_complement_closure(Trigraph(2), P4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_complement_closure_holds_for_k3_witnesses(n):
+    # T is K3-saturated iff its complement is saturated for K3's complement
+    for w in all_indsat_witnesses(n, K3):
+        assert check_complement_closure(w.to_trigraph(), K3) == [], w
+
+
+@pytest.mark.parametrize("h", [K3, C4, P3])
+def test_fact_checks_reject_a_pattern_other_than_p4(h):
+    with pytest.raises(ValueError, match="P4"):
+        run_fact_checks(4, h)
 
 
 def test_z_cut_check_flags_bad_colors():

@@ -14,8 +14,6 @@ from indsat.patterns import (
     cycle_graph,
     from_edges,
     induced_placements,
-    is_path4,
-    is_self_complementary,
     isomorphic,
     parse_pattern_id,
 )
@@ -60,15 +58,12 @@ def test_isomorphism():
     assert isomorphic(relabeled_path, P4)
     assert not isomorphic(C4, P4)
     assert not isomorphic(P3, K3)
-    assert is_path4(relabeled_path)
-    assert not is_path4(C4)
 
 
 def test_self_complementarity():
-    assert is_self_complementary(P4)
-    assert not is_self_complementary(P3)
-    assert not is_self_complementary(K3)
     assert isomorphic(P4.complement(), P4)
+    assert not isomorphic(P3.complement(), P3)
+    assert not isomorphic(K3.complement(), K3)
 
 
 def _brute_path_edge_sets(n):

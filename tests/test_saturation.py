@@ -209,8 +209,8 @@ def test_p4_kernel_agrees_with_anchored_generic_search(t, data):
         wg[a] |= 1 << b
     path = indsat.detect._find_p4_through(bg, wg, t.n, x, y)
     anchored = [
-        indsat.detect._find_generic(bg, wg, t.n, P4, ((hi, x), (hj, y)))
-        for hi, hj in anchor_pair_orbits(P4)
+        indsat.detect._find_generic(bg, wg, t.n, plan, (x, y))
+        for plan in indsat.detect._plan(P4).through
     ]
     assert (path is not None) == any(found is not None for found in anchored)
     flipped = t if t.color(x, y) is GRAY else t.flip(x, y)
@@ -233,12 +233,30 @@ def test_flip_loop_plans_each_anchoring_once(monkeypatch):
         calls.append(first)
         return real(h, first)
 
-    indsat.detect._search_plan.cache_clear()
+    indsat.detect._plan.cache_clear()
     monkeypatch.setattr(indsat.detect, "_search_order", counting)
     k4 = complete_graph(4)
     assert is_indsat(gray_book(20), k4).is_indsat
     # once for condition (a) and once per anchor orbit, not once per flip
     assert len(calls) <= len(anchor_pair_orbits(k4)) + 1, calls
+
+
+@pytest.mark.parametrize(
+    "t, h",
+    [(gray_book(20), complete_graph(4)), (construct_tn(40)[0], P4)],
+    ids=["k4-book", "p4-tn40"],
+)
+def test_plan_is_fetched_once_per_condition_not_per_flip(monkeypatch, t, h):
+    calls = []
+    real = indsat.detect._plan
+
+    def counting(pattern):
+        calls.append(pattern)
+        return real(pattern)
+
+    monkeypatch.setattr(indsat.detect, "_plan", counting)
+    assert is_indsat(t, h).is_indsat
+    assert len(calls) <= 2, len(calls)
 
 
 def test_layered_construction_is_saturated_small():

@@ -91,6 +91,24 @@ def test_read_document_numbers_every_line():
     assert read_document(text, "kw", 2) == (3, [3, 4], [(4, ["a", "b"]), (7, ["c"])])
 
 
+def test_lines_end_at_newline_alone():
+    # a form feed is whitespace inside line 1, as an editor shows it, not a break
+    with pytest.raises(ValueError) as exc:
+        tri.loads("trigraph 3\x0c0 1 B")
+    assert str(exc.value) == "line 1: bad header line 'trigraph 3 0 1 B'"
+    for brk in ["\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]:
+        with pytest.raises(ValueError, match="^line 1: bad header line"):
+            tri.loads(f"trigraph 3{brk}0 1 B{brk}")
+    with pytest.raises(ValueError) as exc:
+        tri.loads("trigraph 3\n# note\x0c\n0 3 B\n")
+    assert str(exc.value).startswith("line 3: ")
+    # CRLF documents still parse, numbered by their \n
+    assert tri.loads("trigraph 3\r\n0 1 B\r\n1 2 G # c\r\n") == tri.loads("trigraph 3\n0 1 B\n1 2 G\n")
+    with pytest.raises(ValueError) as exc:
+        tri.loads("trigraph 3\r\n\r\n0 3 B\r\n")
+    assert str(exc.value).startswith("line 3: ")
+
+
 def test_overlong_token_names_its_line():
     with pytest.raises(ValueError) as exc:
         dnf.loads("dnf 3 1\n1" + "0" * 5000)
