@@ -3,15 +3,26 @@
 A trigraph T is induced-H-saturated when (a) no realization of T
 contains H as an induced subgraph, and (b) recoloring any single black
 or white pair gray produces a trigraph some realization of which does.
-The check short-circuits: (a) first, then flips in colex order with an
-early exit on the first failing flip.
+The check short-circuits: (a) first, then (b) one flip orbit at a time,
+with an early exit on the first orbit whose flip fails.
+
+Two vertices are twins when every other vertex sees both in the same
+color.  Swapping two twins is an automorphism of T, so the flips of all
+pairs in one orbit of the group generated by such swaps have the same
+answer, and (b) searches one representative pair per orbit: the
+colex-least pair, taken in colex order, so that the first failing
+representative is also the first failing pair.  This is cheap isomorph
+rejection (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26 (1998)); the paper's constructions are built from twins, and it
+leaves 861 of the 1,994 flips of `construct_tn(64)` to search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from itertools import combinations, product
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import detect
 from .detect import (
@@ -21,7 +32,7 @@ from .detect import (
     _find_injection_through,
 )
 from .patterns import PatternGraph
-from .trigraph import BLACK, GRAY, WHITE, EdgeColor, Trigraph, _bits, index_pair, pair_count
+from .trigraph import BLACK, GRAY, WHITE, EdgeColor, Trigraph, pair_count, pair_index
 
 
 @dataclass
@@ -32,12 +43,16 @@ class SaturationReport:
     (colex order) whose flip creates no induced copy, or None.  When
     condition (a) already fails the flip scan is skipped: every flip of
     a trigraph with a realization still has one, so no failing flip can
-    exist.
+    exist.  flips_searched counts the flip-orbit representatives searched
+    and flip_pairs the non-gray pairs of their orbits; both are 0 when
+    the scan is skipped.
     """
 
     holds_free: bool
     failing_flip: Optional[tuple[int, int]]
     witness_flips: Optional[dict[tuple[int, int], Embedding]] = field(default=None)
+    flips_searched: int = 0
+    flip_pairs: int = 0
 
     @property
     def is_indsat(self) -> bool:
@@ -48,50 +63,131 @@ class SaturationReport:
             "is_indsat": self.is_indsat,
             "holds_free": self.holds_free,
             "failing_flip": list(self.failing_flip) if self.failing_flip else None,
+            "flips_searched": self.flips_searched,
+            "flip_pairs": self.flip_pairs,
         }
+
+
+def twin_classes(bg: list[int], wg: list[int]) -> list[tuple[int, ...]]:
+    """The twin classes of a trigraph given by its compatibility masks.
+
+    Twinship is an equivalence relation, and all pairs inside a class
+    have one color.  Twins u, v joined in color c have equal black, white
+    and gray rows once each vertex's own bit is added to its row of color
+    c, so one pass per color groups the vertices by those rows (read off
+    bg and wg: a gray pair is in both).  Classes are sorted, and listed
+    by least vertex.
+    """
+    n = len(bg)
+    head = list(range(n))
+    for own_bg, own_wg in ((1, 0), (0, 1), (1, 1)):
+        first: dict[tuple[int, int], int] = {}
+        for v in range(n):
+            bit = 1 << v
+            u = first.setdefault((bg[v] | bit * own_bg, wg[v] | bit * own_wg), v)
+            if u != v:
+                head[v] = u
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(head[v], []).append(v)
+    return [tuple(c) for c in classes.values()]
+
+
+def flip_orbits(bg: list[int], wg: list[int]) -> Iterator[tuple[int, int, tuple, tuple]]:
+    """One (u, v, A, B) per orbit of non-gray pairs, in colex order of (u, v).
+
+    The orbit of the pairs between two twin classes A and B is A x B, with
+    representative (min A, min B); the orbit of the pairs inside a class
+    A (then B is A) has representative its two least vertices.  Each
+    representative is the colex-least pair of its orbit, and an orbit is
+    gray exactly when its representative is.  The orbits are generated
+    one at a time, so a scan that stops early builds no more of them.
+    """
+    class_of: list[tuple[int, ...]] = [()] * len(bg)
+    for c in twin_classes(bg, wg):
+        for v in c:
+            class_of[v] = c
+    heads: list[tuple[int, ...]] = []
+    for v, c in enumerate(class_of):
+        if c[0] == v:
+            for a in heads:
+                if not (bg[a[0]] & wg[a[0]]) >> v & 1:
+                    yield a[0], v, a, c
+            heads.append(c)
+        elif c[1] == v and not (bg[c[0]] & wg[c[0]]) >> v & 1:
+            yield c[0], v, c, c
+
+
+class FlipScan(NamedTuple):
+    """What a condition-(b) scan did: orbits searched, pairs they cover, witnesses."""
+
+    searched: int
+    pairs: int
+    witnesses: Optional[dict[tuple[int, int], Embedding]]
+
+
+def _swap(x: int, p: int, q: int) -> int:
+    return q if x == p else p if x == q else x
 
 
 def flips_all_create(
     t: Trigraph, h: PatternGraph, collect: bool = False
-) -> tuple[Optional[tuple[int, int]], Optional[dict[tuple[int, int], Embedding]]]:
+) -> tuple[Optional[tuple[int, int]], FlipScan]:
     """Condition (b): every non-gray pair, once flipped, admits an induced h.
 
     Assumes condition (a) holds for t, which makes it sound to search
     only injections through the flipped pair: any witness avoiding it
     would already be a witness in t.  The compatibility masks are built
-    and the pattern's plan fetched once; each flip sets the pair's two
-    symmetric bits (in wg for a black pair, in bg for a white one),
-    searches, and clears them again.
-    Returns (first failing pair or None, witness map if collect).
+    and the pattern's plan fetched once.  Only the representative of
+    each flip orbit (see `flip_orbits`) is searched: its flip sets the
+    pair's two symmetric bits (in wg for a black pair, in bg for a white
+    one), searches, and clears them again.  With collect, the images
+    found for a representative (u, v) are carried to each pair (x, y) of
+    its orbit by the twin swaps (u x), then (v' y) with v' the image of v
+    under the first swap; together they send u to x and v to y.
+    Returns (first failing pair or None, the scan's counts and, if
+    collect, one witness per non-gray pair before the failing pair).
     """
-    witnesses: Optional[dict[tuple[int, int], Embedding]] = {} if collect else None
+    found: dict[tuple[int, int], Embedding] = {}
+    searched = pairs = 0
     # looked up on the module so that one patch point sees every mask build
     # and every plan fetch
     bg, wg = detect._compat_masks(t)
     plan = detect._plan(h)
-    nongray = ((1 << pair_count(t.n)) - 1) & ~t.gray
-    for i in _bits(nongray):
-        u, v = index_pair(i)
+    failing = None
+    for u, v, a, b in flip_orbits(bg, wg):
         # the bit is clear before the flip, so xor sets it and then clears it
-        side = wg if t.black >> i & 1 else bg
+        side = wg if bg[u] >> v & 1 else bg
         side[u] ^= 1 << v
         side[v] ^= 1 << u
         images = _find_injection_through(bg, wg, t.n, plan, u, v)
         side[u] ^= 1 << v
         side[v] ^= 1 << u
+        searched += 1
+        pairs += len(a) * (len(a) - 1) // 2 if a is b else len(a) * len(b)
         if images is None:
-            return (u, v), witnesses
+            failing = (u, v)
+            break
         if collect:
-            witnesses[(u, v)] = _embedding_from(t.flip(u, v), h, images)
-    return None, witnesses
+            for x, y in combinations(a, 2) if a is b else product(a, b):
+                mid = _swap(v, u, x)
+                moved = tuple(_swap(_swap(w, u, x), mid, y) for w in images)
+                pair = (x, y) if x < y else (y, x)
+                found[pair] = _embedding_from(t.flip(*pair), h, moved)
+    witnesses = None
+    if collect:
+        end = pair_count(t.n) if failing is None else pair_index(*failing)
+        colex = sorted((pair_index(*p), p) for p in found)
+        witnesses = {p: found[p] for i, p in colex if i < end}
+    return failing, FlipScan(searched, pairs, witnesses)
 
 
 def is_indsat(t: Trigraph, h: PatternGraph, want_witnesses: bool = False) -> SaturationReport:
     """Decide induced-h-saturation of t, reporting the first failure found."""
     if _find_injection(t, h) is not None:
         return SaturationReport(holds_free=False, failing_flip=None)
-    failing, witnesses = flips_all_create(t, h, collect=want_witnesses)
-    return SaturationReport(holds_free=True, failing_flip=failing, witness_flips=witnesses)
+    failing, scan = flips_all_create(t, h, collect=want_witnesses)
+    return SaturationReport(True, failing, scan.witnesses, scan.searched, scan.pairs)
 
 
 # -- gray component structure ------------------------------------------

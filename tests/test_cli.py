@@ -50,6 +50,8 @@ def test_verify_expectation_failure_sets_exit_code(capsys, tmp_path):
     assert code == 1
     assert report["result"]["is_indsat"] is False
     assert report["result"]["failing_flip"] == [0, 1]
+    # all four vertices are twins, so one search decides all six flips
+    assert (report["result"]["flips_searched"], report["result"]["flip_pairs"]) == (1, 6)
 
 
 def test_search_json(capsys):

@@ -1,11 +1,13 @@
 from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indsat.detect
-from indsat.constructions import construct_tn
+import indsat.saturation
+from indsat.constructions import construct_alternative, construct_tn
 from indsat.detect import embedding_is_valid, has_realization_brute, has_realization_of
 from indsat.patterns import (
     C4,
@@ -24,9 +26,11 @@ from indsat.patterns import (
 from indsat.saturation import (
     GrayShape,
     classify_gray_components,
+    flip_orbits,
     is_indsat,
     partition_star,
     partition_triangle,
+    twin_classes,
 )
 from indsat.search import isat_min
 from indsat.trigraph import (
@@ -37,7 +41,9 @@ from indsat.trigraph import (
     all_pairs,
     complete_gray,
     from_pairs,
+    index_pair,
     pair_count,
+    pair_index,
 )
 
 from conftest import all_trigraphs, trigraphs
@@ -70,8 +76,7 @@ def test_flip_loop_matches_brute_oracle_exhaustive_n4():
     for h in ORACLE_PATTERNS:
         for n in range(2, 5):
             for t in all_trigraphs(n):
-                rep = is_indsat(t, h)
-                assert (rep.holds_free, rep.failing_flip) == brute_report(t, h), (h, t)
+                assert_matches_oracle_with_witnesses(t, h)
 
 
 @st.composite
@@ -126,12 +131,39 @@ BULL = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
 FIVE_VERTEX_PATTERNS = (path_graph(5), cycle_graph(5), BULL)
 
 
-def assert_matches_oracle_with_witnesses(t, h):
+def per_pair_report(t, h):
+    """(holds_free, failing_flip, witness keys) from one search per non-gray pair.
+
+    The reference for the orbit flip loop: it flips every non-gray pair in
+    colex order, so its witness keys are the non-gray pairs before the
+    failing one.
+    """
+    if has_realization_of(t, h):
+        return False, None, None
+    keys = []
+    for u, v in all_pairs(t.n):
+        if t.color(u, v) is GRAY:
+            continue
+        if not has_realization_of(t.flip(u, v), h):
+            return True, (u, v), keys
+        keys.append((u, v))
+    return True, None, keys
+
+
+def assert_matches_per_pair_loop(t, h):
     rep = is_indsat(t, h, want_witnesses=True)
-    assert (rep.holds_free, rep.failing_flip) == brute_report(t, h), (h, t)
+    expected = per_pair_report(t, h)
+    keys = None if rep.witness_flips is None else list(rep.witness_flips)
+    assert (rep.holds_free, rep.failing_flip, keys) == expected, (h, t)
     for (u, v), emb in (rep.witness_flips or {}).items():
         assert embedding_is_valid(t.flip(u, v), h, emb), (h, t, (u, v), emb)
         assert {u, v} <= set(emb.vertices), (h, t, (u, v), emb)
+    return rep
+
+
+def assert_matches_oracle_with_witnesses(t, h):
+    rep = assert_matches_per_pair_loop(t, h)
+    assert (rep.holds_free, rep.failing_flip) == brute_report(t, h), (h, t)
 
 
 def test_graphs_on_4_are_the_eleven_classes():
@@ -259,6 +291,179 @@ def test_plan_is_fetched_once_per_condition_not_per_flip(monkeypatch, t, h):
     assert len(calls) <= 2, len(calls)
 
 
+# -- flip orbits -----------------------------------------------------------
+
+
+FLIP_PATTERNS = GRAPHS_ON_4 + (P3, K3)
+
+
+@st.composite
+def twin_blow_ups(draw, max_n=9):
+    """A twin-rich trigraph on at most max_n vertices.
+
+    It is a member of a saturated twin-rich family, or each vertex of a
+    base trigraph (a minimum saturated one, or a sparse or dense one)
+    grows into a class of 1-3 vertices joined in one random color; two
+    classes are joined in the color of their base pair.  The vertices are
+    then relabelled at random and up to two pairs recolored, which splits
+    or merges some classes.
+    """
+    source = draw(st.sampled_from(("family", "saturated", "random")))
+    if source == "family":
+        n = draw(st.integers(4, max_n))
+        grown = draw(st.sampled_from(TWIN_FAMILIES))(n)
+        color = {(x, y): grown.color(x, y) for x, y in all_pairs(n)}
+    else:
+        examples = ()
+        if source == "saturated":
+            h = draw(st.sampled_from(FLIP_PATTERNS))
+            examples = saturated_examples(draw(st.integers(4, 5)), h)
+        base = draw(st.sampled_from(examples) if examples else sparse_or_dense_trigraphs(1, 5))
+        spare = max_n - base.n
+        owner = []
+        for b in range(base.n):
+            extra = draw(st.integers(0, min(2, spare)))
+            spare -= extra
+            owner += [b] * (1 + extra)
+        inside = [draw(st.sampled_from((BLACK, WHITE, GRAY))) for _ in range(base.n)]
+        n = len(owner)
+        color = {
+            (x, y): inside[owner[x]] if owner[x] == owner[y] else base.color(owner[x], owner[y])
+            for x, y in all_pairs(n)
+        }
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        pair = index_pair(draw(st.integers(0, pair_count(n) - 1)))
+        color[pair] = draw(st.sampled_from((BLACK, WHITE, GRAY)))
+    t = from_pairs(
+        n,
+        black=[p for p, c in color.items() if c is BLACK],
+        gray=[p for p, c in color.items() if c is GRAY],
+    )
+    return t.permute(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_blow_ups(), st.data())
+def test_orbit_flip_loop_matches_per_pair_loop_on_blow_ups(t, data):
+    # a pattern that t is free of, when there is one, so that the flips are searched
+    free = [h for h in FLIP_PATTERNS if not has_realization_of(t, h)]
+    h = data.draw(st.sampled_from(free or FLIP_PATTERNS))
+    rep = assert_matches_per_pair_loop(t, h)
+    if t.n <= 6 and t.gray_count <= 8:
+        assert (rep.holds_free, rep.failing_flip) == brute_report(t, h), (h, t)
+
+
+def are_twins(t, u, v):
+    return all(t.color(u, w) is t.color(v, w) for w in range(t.n) if w not in (u, v))
+
+
+def classes_of(t):
+    return twin_classes(*indsat.detect._compat_masks(t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_blow_ups(), st.data())
+def test_twin_classes_are_exactly_the_twins(t, data):
+    classes = classes_of(t)
+    assert sorted(v for c in classes for v in c) == list(range(t.n))
+    assert all(list(c) == sorted(c) for c in classes)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    same = {v: c for c in classes for v in c}
+    for u, v in all_pairs(t.n):
+        assert are_twins(t, u, v) == (same[u] is same[v]), (t, u, v)
+    for c in classes:
+        assert len({t.color(a, b) for a, b in combinations(c, 2)}) <= 1, (t, c)
+        for w in range(t.n):
+            if w not in c:
+                assert len({t.color(a, w) for a in c}) == 1, (t, c, w)
+    perm = data.draw(st.permutations(range(t.n)))
+    moved = classes_of(t.permute(perm))
+    assert {frozenset(c) for c in moved} == {frozenset(perm[v] for v in c) for c in classes}
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_blow_ups())
+def test_flip_orbits_partition_the_nongray_pairs(t):
+    reps, covered = [], []
+    for u, v, a, b in flip_orbits(*indsat.detect._compat_masks(t)):
+        orbit = sorted(
+            (pair_index(x, y), (min(x, y), max(x, y)))
+            for x, y in (combinations(a, 2) if a is b else product(a, b))
+        )
+        # the representative is the colex-least pair of its orbit
+        assert orbit[0][1] == (u, v), (t, u, v, orbit)
+        assert len({t.color(x, y) for _, (x, y) in orbit}) == 1
+        reps.append(pair_index(u, v))
+        covered += orbit
+    assert reps == sorted(reps)
+    nongray = [(u, v) for u, v in all_pairs(t.n) if t.color(u, v) is not GRAY]
+    assert [p for _, p in sorted(covered)] == nongray
+
+
+def gray_star_plus_isolated(n):
+    """Gray star centred at 0 on vertices 0..n-2; vertex n-1 is all white."""
+    return from_pairs(n, gray=[(0, v) for v in range(1, n - 1)])
+
+
+@pytest.mark.parametrize(
+    "t, orbits",
+    [
+        (construct_tn(64)[0], 861),
+        (construct_alternative(63), 861),
+        (gray_book(64), 1),
+        (gray_star_plus_isolated(64), 3),
+    ],
+    ids=["tn64", "alternative63", "k4-book64", "k3-star64"],
+)
+def test_flip_orbit_counts_at_n64(t, orbits):
+    assert len(list(flip_orbits(*indsat.detect._compat_masks(t)))) == orbits
+
+
+def test_flip_loop_searches_one_pair_per_orbit(monkeypatch):
+    calls = []
+    real = indsat.saturation._find_injection_through
+
+    def counting(bg, wg, n, plan, x, y):
+        calls.append((x, y))
+        return real(bg, wg, n, plan, x, y)
+
+    monkeypatch.setattr(indsat.saturation, "_find_injection_through", counting)
+    rep = is_indsat(construct_tn(64)[0], P4)
+    assert rep.is_indsat
+    assert (rep.flips_searched, rep.flip_pairs) == (len(calls), 1994) == (861, 1994)
+    calls.clear()
+    rep = is_indsat(gray_star_plus_isolated(64), K3)
+    assert rep.failing_flip == (0, 63)
+    # the 1,891 leaf pairs in one search, then the failing pair
+    assert calls == [(1, 2), (0, 63)]
+    assert (rep.flips_searched, rep.flip_pairs) == (2, 1892)
+
+
+def gray_triangle_rest_black(n):
+    """A gray triangle on 0, 1, 2, every other pair black."""
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    return from_pairs(n, gray=triangle, black=[p for p in all_pairs(n) if p not in triangle])
+
+
+# P4, K4, K3 and C4 respectively
+TWIN_FAMILIES = (
+    lambda n: construct_tn(n)[0],
+    gray_book,
+    gray_star,
+    gray_triangle_rest_black,
+)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_gray_triangle_family_is_c4_saturated(n):
+    t = gray_triangle_rest_black(n)
+    rep = is_indsat(t, C4)
+    assert rep.is_indsat
+    assert rep.flip_pairs == pair_count(n) - 3
+    # its complement, a gray triangle with every other pair white, for 2K2
+    assert is_indsat(t.complement(), C4.complement()).is_indsat
+
+
 def test_layered_construction_is_saturated_small():
     for n in range(4, 11):
         t, _ = construct_tn(n)
@@ -335,8 +540,16 @@ def test_witness_flips_on_demand():
 
 def test_to_dict_schema():
     d = is_indsat(Trigraph(4), P4).to_dict()
-    assert set(d) == {"is_indsat", "holds_free", "failing_flip"}
+    assert set(d) == {"is_indsat", "holds_free", "failing_flip", "flips_searched", "flip_pairs"}
     assert d["failing_flip"] == [0, 1]
+    # all four vertices are twins: one search decides all six pairs
+    assert (d["flips_searched"], d["flip_pairs"]) == (1, 6)
+
+
+def test_flip_counts_are_zero_when_condition_a_fails():
+    d = is_indsat(complete_gray(4), P4).to_dict()
+    assert not d["holds_free"]
+    assert (d["flips_searched"], d["flip_pairs"]) == (0, 0)
 
 
 # -- gray component shapes ----------------------------------------------
