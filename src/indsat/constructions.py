@@ -149,7 +149,12 @@ def parse_family(name: str) -> Family:
 
 def sat_formula(family: Family, n: int) -> int | None:
     """Minimum edge count of an n-vertex saturated graph, where a closed
-    form is known; None where only bounds are known (clique minus an edge)."""
+    form is known; None where only bounds are known (clique minus an edge).
+
+    The 4-cycle value is Ollmann's floor((3n - 5)/2) for n >= 5 (L. T.
+    Ollmann, "K_{2,2}-saturated graphs with a minimal number of edges",
+    Proc. 3rd Southeastern Conference on Combinatorics, Graph Theory and
+    Computing, 1972)."""
     kind, h = family.kind, family.h
     if kind == "path":
         if h < 3:
@@ -176,7 +181,7 @@ def sat_formula(family: Family, n: int) -> int | None:
     if kind == "cycle4":
         if n < 5:
             raise ValueError("the 4-cycle formula needs n >= 5")
-        return (3 * (n - 5) + 1) // 2
+        return (3 * n - 5) // 2
     if kind == "clique_minus_edge":
         if h < 3:
             raise ValueError("clique-minus-an-edge needs at least 3 vertices")

@@ -305,10 +305,13 @@ def _find_generic(
     return tuple(found)
 
 
-def _find_injection(t: Trigraph, h: PatternGraph) -> Optional[tuple[int, ...]]:
+def _find_injection(
+    t: Trigraph, h: PatternGraph, masks: Optional[tuple[list[int], list[int]]] = None
+) -> Optional[tuple[int, ...]]:
+    """Injection of h into some realization of t; masks are t's `_compat_masks`, if built."""
     if h.k > t.n:
         return None
-    bg, wg = _compat_masks(t)
+    bg, wg = _compat_masks(t) if masks is None else masks
     plan = _plan(h)
     if plan.p4 is not None:
         found = _find_p4(bg, wg, t.n)

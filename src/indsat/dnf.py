@@ -14,7 +14,14 @@ assignment.  ``_saturated_true_masks`` applies it to every assignment of
 one free set at once, as a numpy kernel over an array of true-masks: a
 screen (``_screen``) that grows the array one assigned variable at a
 time and drops the rows leaving a clause completable, then a coverage
-pass on the survivors; the minimum-gray search runs it per gray set.
+pass on the survivors, skipped when none survive.  The coverage pass
+groups the clauses by their highest assigned variable and ORs each
+group's single-literal falsified sets into the rows in 2-D blocks of at
+most ``_COVERAGE_BLOCK`` (clause, row) entries.  It takes the groups in
+descending order and, after each, drops the rows already missing an
+assigned variable at or above the group's, stopping once no row is
+left.  Every row is decided on its own.  The minimum-gray search runs
+the kernel per gray set.
 
 ``min_unassigned`` runs the screen once, at the empty free set, giving
 S: the ascending true-masks of the full assignments that satisfy no
@@ -51,6 +58,10 @@ COMPLETION_CAP = 20
 MIN_UNASSIGNED_MAX_VARS = 21
 # The most variables a file may declare: one per pair of the largest trigraph.
 MAX_VARIABLES = pair_count(MAX_VERTICES)
+# The most (clause, row) entries one block of the coverage pass holds:
+# 2^13 int64 entries keep each temporary at 64 KiB, so the pass adds about
+# 0.1 MiB to a search's peak memory (2^14 added about 0.4 MiB).
+_COVERAGE_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,16 +268,39 @@ def _saturated_true_masks(f: DnfFormula, free_mask: int) -> np.ndarray:
 
     The screen (``_screen``) keeps the rows that satisfy condition (1).
     Coverage: each surviving row is saturated iff every assigned variable
-    is the only falsified literal of some clause.
+    is the only falsified literal of some clause.  The restricted clauses
+    are grouped by their highest assigned variable v and each group is
+    evaluated as one (clauses x rows) block, split along the rows so that
+    no block exceeds ``_COVERAGE_BLOCK`` entries.  Groups go in descending
+    v; once every clause with top >= v is done, the coverage of each
+    assigned variable >= v is final, so the rows missing one of them are
+    dropped, and the pass stops when no row is left.  The last comparison
+    with the assigned mask decides the variables below the lowest top.
+    Each row's result depends on that row alone.
     """
     import numpy as np
 
     assigned = ((1 << f.m) - 1) & ~free_mask
     true, clauses = _screen(f, free_mask)
-    covered = np.zeros_like(true)
+    if not true.size:
+        return true
+    groups: dict[int, list[tuple[int, int]]] = {}
     for mask, pos in clauses:
-        falsified = (true & mask) ^ pos
-        covered |= np.where(falsified & (falsified - 1) == 0, falsified, 0)
+        groups.setdefault(mask.bit_length() - 1, []).append((mask, pos))
+    covered = np.zeros_like(true)
+    for v in sorted(groups, reverse=True):
+        group = np.array(groups[v], dtype=np.int64)
+        masks, pos = group[:, :1], group[:, 1:]
+        step = max(1, _COVERAGE_BLOCK // len(group))
+        for lo in range(0, true.size, step):
+            rows = slice(lo, lo + step)
+            falsified = (true[rows] & masks) ^ pos
+            single = np.where(falsified & (falsified - 1) == 0, falsified, 0)
+            covered[rows] |= np.bitwise_or.reduce(single, axis=0)
+        keep = (np.int64(assigned >> v << v) & ~covered) == 0
+        true, covered = true[keep], covered[keep]
+        if not true.size:
+            return true
     return true[covered == assigned]
 
 

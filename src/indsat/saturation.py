@@ -131,14 +131,18 @@ def _swap(x: int, p: int, q: int) -> int:
 
 
 def flips_all_create(
-    t: Trigraph, h: PatternGraph, collect: bool = False
+    t: Trigraph,
+    h: PatternGraph,
+    collect: bool = False,
+    masks: Optional[tuple[list[int], list[int]]] = None,
 ) -> tuple[Optional[tuple[int, int]], FlipScan]:
     """Condition (b): every non-gray pair, once flipped, admits an induced h.
 
     Assumes condition (a) holds for t, which makes it sound to search
     only injections through the flipped pair: any witness avoiding it
-    would already be a witness in t.  The compatibility masks are built
-    and the pattern's plan fetched once.  Only the representative of
+    would already be a witness in t.  The compatibility masks are taken
+    from masks or built once, and the pattern's plan is fetched once; the
+    masks are left as they were found.  Only the representative of
     each flip orbit (see `flip_orbits`) is searched: its flip sets the
     pair's two symmetric bits (in wg for a black pair, in bg for a white
     one), searches, and clears them again.  With collect, the images
@@ -152,7 +156,7 @@ def flips_all_create(
     searched = pairs = 0
     # looked up on the module so that one patch point sees every mask build
     # and every plan fetch
-    bg, wg = detect._compat_masks(t)
+    bg, wg = detect._compat_masks(t) if masks is None else masks
     plan = detect._plan(h)
     failing = None
     for u, v, a, b in flip_orbits(bg, wg):
@@ -183,10 +187,15 @@ def flips_all_create(
 
 
 def is_indsat(t: Trigraph, h: PatternGraph, want_witnesses: bool = False) -> SaturationReport:
-    """Decide induced-h-saturation of t, reporting the first failure found."""
-    if _find_injection(t, h) is not None:
+    """Decide induced-h-saturation of t, reporting the first failure found.
+
+    The compatibility masks are built once, looked up on `detect` so that
+    one patch point sees the build, and serve both conditions.
+    """
+    masks = detect._compat_masks(t)
+    if _find_injection(t, h, masks) is not None:
         return SaturationReport(holds_free=False, failing_flip=None)
-    failing, scan = flips_all_create(t, h, collect=want_witnesses)
+    failing, scan = flips_all_create(t, h, collect=want_witnesses, masks=masks)
     return SaturationReport(True, failing, scan.witnesses, scan.searched, scan.pairs)
 
 

@@ -4,14 +4,21 @@ A trigraph is induced-h-saturated exactly when its partial assignment of
 the placement formula ``encode_pattern(n, h)`` is saturated (black =
 true, white = false, gray = free), so ``isat_min`` runs the DNF kernel
 ``dnf._saturated_true_masks``, which decides every black/white coloring
-of one gray set at once.  Gray counts are taken in ascending order, and
-at each count the kernel runs on one gray set per isomorphism class of
-graphs with that many edges.  The classes are grown by augmentation: add
-each free pair to every representative of the previous level and keep
-the canonical image.  Relabelling maps saturated trigraphs to saturated
-ones, so every witness class has a member whose gray set is its class
-representative; only the rows the kernel returns take a canonical form.
-The first gray count with a witness is therefore the exact minimum.
+of one gray set at once.  A screen keeps the colorings that realize no
+placement.  A coverage pass then keeps those in which every non-gray
+pair is the only wrongly colored pair of some placement.  It works in
+2-D numpy blocks, one group of placements at a time, grouped by their
+highest non-gray pair and taken in descending order, and drops a
+coloring as soon as one of its pairs can no longer be covered.  Each
+coloring is decided on its own.  Gray counts are taken in ascending
+order, and at each count the kernel runs on one gray set per
+isomorphism class of graphs with that many edges.  The classes are grown
+by augmentation: add each free pair to every representative of the
+previous level and keep the canonical image.  Relabelling maps saturated
+trigraphs to saturated ones, so every witness class has a member whose
+gray set is its class representative; only the rows the kernel returns
+take a canonical form.  The first gray count with a witness is therefore
+the exact minimum.
 
 ``enumerate_indsat`` (n <= 5) keeps an independent route for the
 cross-check: every labelled gray set, a vectorized no-realization screen

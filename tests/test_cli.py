@@ -133,7 +133,7 @@ def test_formula_rows(capsys):
     assert km["result"]["isat"] == 0
 
     _, c4, _ = run_json(capsys, "formula", "--family", "c4", "--n", "10")
-    assert c4["result"]["sat"] == 8
+    assert c4["result"]["sat"] == 12  # Ollmann: floor((3n - 5)/2)
     assert c4["result"]["isat"] == "unknown"
 
 

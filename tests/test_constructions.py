@@ -9,9 +9,10 @@ from indsat.constructions import (
     sat_formula,
 )
 from indsat.detect import has_realization_of
-from indsat.patterns import P4
+from indsat.patterns import C4, P4
 from indsat.saturation import is_indsat
-from indsat.trigraph import BLACK, GRAY, WHITE, all_pairs
+from indsat.search import _augment
+from indsat.trigraph import BLACK, GRAY, WHITE, Trigraph, all_pairs, pair_count
 
 from test_detect import assert_path_witness
 
@@ -161,9 +162,32 @@ def test_sat_formula_values():
     assert sat_formula(parse_family("ph:7"), 14) == 13
     assert sat_formula(parse_family("k3"), 5) == 4
     assert sat_formula(parse_family("kh:4"), 6) == 9
-    assert sat_formula(parse_family("c4"), 5) == 0
-    assert sat_formula(parse_family("c4"), 10) == 8
+    assert sat_formula(parse_family("c4"), 5) == 5  # Ollmann: floor((3n - 5)/2)
+    assert sat_formula(parse_family("c4"), 10) == 12
     assert sat_formula(parse_family("khminus:4"), 6) is None
+
+
+def _sat_by_gray_classes(n, h):
+    """Least edge count of an h-saturated graph on n vertices, by exhaustive search.
+
+    G is h-saturated exactly when the trigraph with G's edges gray and every
+    other pair white is induced-h-saturated: its realizations are G's
+    subgraphs, and flipping a white pair to gray adds that edge as an option.
+    One gray set per isomorphism class of graphs with k edges is tried, for
+    k = 0, 1, ...
+    """
+    reps = [0]
+    for k in range(pair_count(n) + 1):
+        if k:
+            reps = _augment(n, reps)
+        if any(is_indsat(Trigraph(n, 0, gray), h).is_indsat for gray in reps):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("n, sat", [(5, 5), (6, 6), (7, 8)])
+def test_sat_formula_c4_matches_exhaustive_search(n, sat):
+    assert _sat_by_gray_classes(n, C4) == sat == sat_formula(parse_family("c4"), n)
 
 
 def test_sat_formula_domain_errors():

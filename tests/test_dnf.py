@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 import indsat.dnf as dnf
 from indsat.constructions import construct_tn, isat_formula, parse_family
 from indsat.errors import ResourceLimitError
-from indsat.patterns import K3, P4
+from indsat.patterns import C4, K3, P4
 from indsat.saturation import is_indsat
+from indsat.search import _augment
 from indsat.trigraph import complete_gray, pair_count
 
 from conftest import all_trigraphs, trigraph_from_code
@@ -148,15 +150,59 @@ def _assignments(m, free):
             yield dnf.PartialAssignment(m, true, assigned & ~true)
 
 
-@settings(max_examples=100, deadline=None)
-@given(formulas(7))
-def test_kernel_matches_scalar_and_brute_checks(f):
+def _assert_kernel_matches_scalar_and_brute_checks(f):
     for free in range(1 << f.m):
         got = sorted(dnf._saturated_true_masks(f, free).tolist())
         scalar = [a.true_mask for a in _assignments(f.m, free) if dnf.is_saturated(f, a)]
         assert got == scalar
         brute = [a.true_mask for a in _assignments(f.m, free) if dnf.is_saturated_brute(f, a)]
         assert got == brute
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(7))
+def test_kernel_matches_scalar_and_brute_checks(f):
+    _assert_kernel_matches_scalar_and_brute_checks(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(7))
+def test_kernel_in_one_row_blocks_matches_scalar_and_brute_checks(f):
+    """The same oracle with the coverage pass cut into blocks of one row each."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dnf, "_COVERAGE_BLOCK", 1)
+        _assert_kernel_matches_scalar_and_brute_checks(f)
+
+
+@pytest.mark.parametrize("h, min_gray", [(P4, 3), (C4, 3), (K3, 5)], ids=["p4", "c4", "k3"])
+def test_kernel_matches_scalar_check_on_split_blocks_at_n6(h, min_gray):
+    """At n=6 the free set {} and every gray class with up to min_gray edges,
+    against the scalar check on each screened row.  At {} the largest clause
+    group times the rows exceeds one coverage block, so the pass runs split;
+    a bound of 64 entries also splits the classes that have saturated rows."""
+    f = dnf.encode_pattern(6, h)
+    full = (1 << f.m) - 1
+    rows, clauses = dnf._screen(f, 0)
+    group = max(Counter(mask.bit_length() for mask, _ in clauses).values())
+    assert group * rows.size > dnf._COVERAGE_BLOCK
+    reps, frees = [0], [0]
+    for _ in range(min_gray):
+        reps = _augment(6, reps)
+        frees += reps
+    saturated = 0
+    for free in frees:
+        assigned = full & ~free
+        expected = [
+            true
+            for true in dnf._screen(f, free)[0].tolist()
+            if dnf.is_saturated(f, dnf.PartialAssignment(f.m, true, assigned & ~true))
+        ]
+        saturated += len(expected)
+        assert dnf._saturated_true_masks(f, free).tolist() == expected, free
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dnf, "_COVERAGE_BLOCK", 64)
+            assert dnf._saturated_true_masks(f, free).tolist() == expected, free
+    assert saturated  # the minimum-gray level has saturated rows
 
 
 @settings(max_examples=40, deadline=None)

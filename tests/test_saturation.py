@@ -109,11 +109,11 @@ def test_flip_loop_builds_compat_masks_once(monkeypatch):
         return real(t)
 
     monkeypatch.setattr(indsat.detect, "_compat_masks", counting)
-    # once for condition (a) and once for the flip loop, however many flips
+    # once for both conditions, however many flips
     for t, h in ((construct_tn(40)[0], P4), (gray_star(40), K3)):
         calls.clear()
         assert is_indsat(t, h).is_indsat
-        assert len(calls) <= 2, (h, len(calls))
+        assert len(calls) == 1, (h, len(calls))
 
 
 def graphs_on_4():
