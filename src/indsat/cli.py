@@ -95,13 +95,23 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _print_level(level: dict) -> None:
+    """One stderr line per finished gray level of the search."""
+    fields = " ".join(
+        f"{key}={value:.3f}" if isinstance(value, float) else f"{key}={value}"
+        for key, value in level.items()
+    )
+    print(f"search: {fields}", file=sys.stderr, flush=True)
+
+
 def _cmd_search(args) -> int:
     started = time.perf_counter()
     h = _load_pattern(args)
     if args.naive:
         res = isat_min_naive(args.n, h, label=_pattern_label(args))
     else:
-        res = isat_min(args.n, h, k_max=args.kmax, label=_pattern_label(args))
+        progress = _print_level if args.progress else None
+        res = isat_min(args.n, h, k_max=args.kmax, label=_pattern_label(args), progress=progress)
     _emit_report(
         args,
         "search",
@@ -226,6 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_pattern_flags(p)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--naive", action="store_true", help="use the unpruned 3^C(n,2) sweep")
+    p.add_argument(
+        "--progress",
+        action="store_true",
+        help="print one line per gray level on stderr (not with --naive)",
+    )
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_search)
 

@@ -6,22 +6,24 @@ satisfying completion.  Encoding the induced placements of a pattern
 over the C(n,2) pair variables makes this coincide bit-for-bit with
 induced saturation of trigraphs: black=true, white=false, gray=free.
 
-Because a DNF clause never repeats a variable, a completion satisfying
-a clause exists iff the current assignment falsifies none of its
-literals; this clause-local check is exact and mirrors the per-pair
-locality of realization detection.  ``is_saturated`` applies it to one
-assignment.  ``_saturated_true_masks`` applies it to every assignment of
-one free set at once, as a numpy kernel over an array of true-masks: a
-screen (``_screen``) that grows the array one assigned variable at a
-time and drops the rows leaving a clause completable, then a coverage
-pass on the survivors, skipped when none survive.  The coverage pass
-groups the clauses by their highest assigned variable and ORs each
-group's single-literal falsified sets into the rows in 2-D blocks of at
-most ``_COVERAGE_BLOCK`` (clause, row) entries.  It takes the groups in
-descending order and, after each, drops the rows already missing an
-assigned variable at or above the group's, stopping once no row is
-left.  Every row is decided on its own.  The minimum-gray search runs
-the kernel per gray set.
+Because a DNF clause never repeats a variable, a completion satisfying a
+clause exists iff the current assignment falsifies none of its literals;
+this clause-local check is exact and mirrors the per-pair locality of
+realization detection.  ``is_saturated`` applies it to one assignment.
+``_saturated_true_masks`` applies it to every assignment of one free set
+at once, as a numpy kernel over an array of true-masks: a screen
+(``_screen``) that grows the array one assigned variable at a time and
+drops the rows leaving a clause completable, then a coverage pass
+(``_covered``) on the survivors, skipped when none survive.  The screen
+can also keep one row per orbit of given variable permutations at given
+prefix lengths (``_min_images``); only the minimum-gray search asks for
+that.  The coverage pass groups the clauses by their highest assigned
+variable and ORs each group's single-literal falsified sets into the
+rows in 2-D blocks of at most ``_COVERAGE_BLOCK`` (clause, row) entries.
+It takes the groups in descending order and, after each, drops the rows
+already missing an assigned variable at or above the group's, stopping
+once no row is left.  Every row is decided on its own.  The minimum-gray
+search runs the kernel per gray set.
 
 ``min_unassigned`` runs the screen once, at the empty free set, giving
 S: the ascending true-masks of the full assignments that satisfy no
@@ -52,6 +54,8 @@ from .textformat import is_number, load_file, read_document
 from .trigraph import MAX_VERTICES, Trigraph, _bits, pair_count
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
 COMPLETION_CAP = 20
@@ -62,6 +66,10 @@ MAX_VARIABLES = pair_count(MAX_VERTICES)
 # 2^13 int64 entries keep each temporary at 64 KiB, so the pass adds about
 # 0.1 MiB to a search's peak memory (2^14 added about 0.4 MiB).
 _COVERAGE_BLOCK = 1 << 13
+# The most entries one temporary of the screen's orbit step holds: 2^16
+# int64 entries are 512 KiB.  C4 at n=8 ran as fast with 2^16 as with
+# 2^18 and peaked at 209 MiB with no bound, against 77 MiB with it.
+_ORBIT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,7 +242,9 @@ def is_saturated_brute(f: DnfFormula, a: PartialAssignment, cap: int = COMPLETIO
     )
 
 
-def _screen(f: DnfFormula, free_mask: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _screen(
+    f: DnfFormula, free_mask: int, groups: Sequence[tuple[int, np.ndarray]] = ()
+) -> tuple[np.ndarray, list[tuple[int, int]], int]:
     """Ascending true-masks of the assignments, outside free_mask, falsifying every clause.
 
     The array of true-masks grows one assigned variable at a time, and after
@@ -243,8 +253,24 @@ def _screen(f: DnfFormula, free_mask: int) -> tuple[np.ndarray, list[tuple[int, 
     a clause is completable iff its falsified set ``(true & mask) ^ pos`` is
     empty.  Each doubling appends rows >= 2^v and each filter keeps order,
     so the rows come out ascending.  Also returns the clauses restricted to
-    the assigned variables as (mask, pos) pairs; a clause with no assigned
-    variable is completable under every assignment, so the rows are empty.
+    the assigned variables as (mask, pos) pairs, and the most rows the array
+    held; a clause with no assigned variable is completable under every
+    assignment, so the rows are empty.
+
+    ``groups`` holds optional orbit steps (b, images), ascending in b.  Once
+    every assigned variable below b is placed, each row is replaced by its
+    least image (``_min_images``) and duplicates are dropped.  Each column
+    of ``images`` must be a permutation of the variables below b that
+    extends to a symmetry of the clause set fixing free_mask; then every
+    orbit of the final rows under those symmetries keeps a member, and each
+    kept row is one the screen without groups also returns.  Only the
+    minimum-gray search passes groups.
+
+    The filters stay one per clause.  One 2-D filter over each top
+    variable's clauses, as the coverage pass does, was measured about 2.5x
+    slower on large row sets (P4 at free set {} and n=7: 88 ms against
+    30-36 ms) and faster only on small ones, such as orbit-reduced rows
+    (``BENCH_prefix_orbits.json``).
     """
     import numpy as np
 
@@ -253,35 +279,69 @@ def _screen(f: DnfFormula, free_mask: int) -> tuple[np.ndarray, list[tuple[int, 
     for pos, neg in f.clauses:
         mask = (pos | neg) & assigned
         if not mask:
-            return np.empty(0, dtype=np.int64), []
+            return np.empty(0, dtype=np.int64), [], 0
         by_top.setdefault(mask.bit_length() - 1, []).append((mask, pos & assigned))
+    pending = list(groups)
     true = np.zeros(1, dtype=np.int64)
+    peak = 1
     for v in _bits(assigned):
+        while pending and pending[0][0] <= v:
+            true = _min_images(true, pending.pop(0)[1])
         true = np.concatenate((true, true | np.int64(1 << v)))
+        peak = max(peak, true.size)
         for mask, pos in by_top.get(v, ()):
             true = true[(true & mask) != pos]
-    return true, [c for clauses in by_top.values() for c in clauses]
+    return true, [c for clauses in by_top.values() for c in clauses], peak
+
+
+def _min_images(true: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Each row's least image, ascending and without duplicates.
+
+    ``images[i, g]`` is 2^(g(i)) for each of the b variables i and each
+    permutation g, so the images of all rows are one exact int64 product of
+    the rows' b bits with ``images``.  The rows go in slices that keep each
+    temporary within ``_ORBIT_BLOCK`` entries.
+    """
+    import numpy as np
+
+    b, count = images.shape
+    shifts = np.arange(b, dtype=np.int64)
+    step = max(1, _ORBIT_BLOCK // max(b, count))
+    least = np.empty_like(true)
+    for lo in range(0, true.size, step):
+        bits = (true[lo : lo + step, None] >> shifts) & 1
+        least[lo : lo + step] = (bits @ images).min(axis=1)
+    least.sort()
+    keep = np.empty(least.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(least[1:], least[:-1], out=keep[1:])
+    return least[keep]
 
 
 def _saturated_true_masks(f: DnfFormula, free_mask: int) -> np.ndarray:
     """True-masks of the saturated assignments whose unassigned set is free_mask.
 
-    The screen (``_screen``) keeps the rows that satisfy condition (1).
-    Coverage: each surviving row is saturated iff every assigned variable
-    is the only falsified literal of some clause.  The restricted clauses
-    are grouped by their highest assigned variable v and each group is
-    evaluated as one (clauses x rows) block, split along the rows so that
-    no block exceeds ``_COVERAGE_BLOCK`` entries.  Groups go in descending
-    v; once every clause with top >= v is done, the coverage of each
-    assigned variable >= v is final, so the rows missing one of them are
-    dropped, and the pass stops when no row is left.  The last comparison
-    with the assigned mask decides the variables below the lowest top.
-    Each row's result depends on that row alone.
+    The screen (``_screen``) keeps the rows that satisfy condition (1), and
+    the coverage pass (``_covered``) those that also satisfy condition (2).
+    """
+    true, clauses, _ = _screen(f, free_mask)
+    return _covered(true, clauses, ((1 << f.m) - 1) & ~free_mask)
+
+
+def _covered(true: np.ndarray, clauses: list[tuple[int, int]], assigned: int) -> np.ndarray:
+    """The screened rows in which each assigned variable is some clause's only falsified literal.
+
+    The restricted clauses are grouped by their highest assigned variable v
+    and each group is evaluated as one (clauses x rows) block, split along
+    the rows so that no block exceeds ``_COVERAGE_BLOCK`` entries.  Groups
+    go in descending v; once every clause with top >= v is done, the
+    coverage of each assigned variable >= v is final, so the rows missing
+    one of them are dropped, and the pass stops when no row is left.  The
+    last comparison with the assigned mask decides the variables below the
+    lowest top.  Each row's result depends on that row alone.
     """
     import numpy as np
 
-    assigned = ((1 << f.m) - 1) & ~free_mask
-    true, clauses = _screen(f, free_mask)
     if not true.size:
         return true
     groups: dict[int, list[tuple[int, int]]] = {}
@@ -375,7 +435,7 @@ def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
     if cap is None:
         cap = f.m
     full = (1 << f.m) - 1
-    s, _ = _screen(f, 0)
+    s = _screen(f, 0)[0]
     for u in range(min(cap, f.m) + 1):
         for free, cube in _cubes(s, f.m, u):
             if _saturated_in_cube(cube, full & ~free).size:

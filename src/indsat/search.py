@@ -3,22 +3,34 @@
 A trigraph is induced-h-saturated exactly when its partial assignment of
 the placement formula ``encode_pattern(n, h)`` is saturated (black =
 true, white = false, gray = free), so ``isat_min`` runs the DNF kernel
-``dnf._saturated_true_masks``, which decides every black/white coloring
-of one gray set at once.  A screen keeps the colorings that realize no
-placement.  A coverage pass then keeps those in which every non-gray
+``dnf._screen`` and ``dnf._covered``, which decide every black/white
+coloring of one gray set at once.  The screen keeps the colorings that
+realize no placement, growing them one non-gray pair at a time in colex
+order, so that after pair C(j,2) - 1 they color exactly the pairs inside
+vertices 0..j-1.  At that point, for 3 <= j < n, it keeps one coloring
+per orbit of G_j, the automorphisms of the gray graph that fix vertices
+j..n-1 (``_prefix_groups``): each coloring is replaced by its least
+image under G_j, one exact int64 matrix product of its pair bits with
+the images 2^g(i), and duplicates are dropped.  Extended by the
+identity, each element of G_j is an automorphism of the gray graph, so
+it maps placements to placements and saturated colorings to saturated
+ones; every witness class keeps a member (isomorph rejection in the
+sense of McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998).  A coverage pass then keeps the colorings in which every non-gray
 pair is the only wrongly colored pair of some placement.  It works in
 2-D numpy blocks, one group of placements at a time, grouped by their
 highest non-gray pair and taken in descending order, and drops a
 coloring as soon as one of its pairs can no longer be covered.  Each
-coloring is decided on its own.  Gray counts are taken in ascending
-order, and at each count the kernel runs on one gray set per
-isomorphism class of graphs with that many edges.  The classes are grown
-by augmentation: add each free pair to every representative of the
-previous level and keep the canonical image.  Relabelling maps saturated
-trigraphs to saturated ones, so every witness class has a member whose
-gray set is its class representative; only the rows the kernel returns
-take a canonical form.  The first gray count with a witness is therefore
-the exact minimum.
+coloring is decided on its own, so the pass runs unchanged on
+orbit-reduced colorings.  Gray counts are taken in ascending order, and
+at each count the kernel runs on one gray set per isomorphism class of
+graphs with that many edges.  The classes are grown by augmentation:
+add each free pair to every representative of the previous level and
+keep the canonical image.  Relabelling maps saturated trigraphs to
+saturated ones, so every witness class has a member whose gray set is
+its class representative; only the rows the kernel returns take a
+canonical form.  The first gray count with a witness is therefore the
+exact minimum.  The search runs up to n = 8 (``SEARCH_MAX_VERTICES``).
 
 ``enumerate_indsat`` (n <= 5) keeps an independent route for the
 cross-check: every labelled gray set, a vectorized no-realization screen
@@ -42,19 +54,21 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .dnf import DnfFormula, _saturated_true_masks
+from .dnf import DnfFormula, _covered, _screen
 from .errors import ResourceLimitError
 from .patterns import PatternGraph, induced_placements
 from .saturation import flips_all_create, is_indsat
 from .trigraph import Trigraph, _bits, all_pairs, pair_count
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
 CANONICAL_MAX_VERTICES = 8
 NAIVE_MAX_VERTICES = 5
 ENUMERATE_MAX_VERTICES = 5
-SEARCH_MAX_VERTICES = 7
+SEARCH_MAX_VERTICES = 8
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -69,16 +83,46 @@ class CanonicalForm:
         return Trigraph(self.n, self.black, self.gray)
 
 
+def _permutations(n: int) -> np.ndarray:
+    """Every permutation of range(n) as one row, in lexicographic order."""
+    import numpy as np
+
+    return np.array(list(permutations(range(n))), dtype=np.int64).reshape(factorial(n), n)
+
+
 @lru_cache(maxsize=None)
 def _perm_pair_table(n: int) -> np.ndarray:
     """Row r maps each colex pair index to its image under permutation r."""
     import numpy as np
 
-    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(factorial(n), n)
+    perms = _permutations(n)
     pairs = np.array(list(all_pairs(n)), dtype=np.int64).reshape(-1, 2)
     a, b = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     return hi * (hi - 1) // 2 + lo
+
+
+@lru_cache(maxsize=None)
+def _last_fixed_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``_perm_pair_table(n)`` whose permutation fixes vertex n-1,
+    and for each, one more than the highest vertex it moves (0 if none)."""
+    import numpy as np
+
+    perms = _permutations(n)
+    fixed = perms[:, n - 1] == n - 1
+    support = ((perms[fixed] != np.arange(n)) * np.arange(1, n + 1)).max(axis=1, initial=0)
+    return _perm_pair_table(n)[fixed], support
+
+
+def _mask_images(table: np.ndarray, mask: int) -> np.ndarray:
+    """The image of a pair mask under every permutation of the pair table."""
+    import numpy as np
+
+    out = np.zeros(table.shape[0], dtype=np.int64)
+    one = np.int64(1)
+    for i in _bits(mask):
+        out |= one << table[:, i]
+    return out
 
 
 def canonical_key(t: Trigraph) -> int:
@@ -94,15 +138,7 @@ def canonical_key(t: Trigraph) -> int:
     if m == 0:
         return 0
     table = _perm_pair_table(n)
-    rows = table.shape[0]
-    gray_arr = np.zeros(rows, dtype=np.int64)
-    black_arr = np.zeros(rows, dtype=np.int64)
-    one = np.int64(1)
-    for i in _bits(t.gray):
-        gray_arr |= one << table[:, i]
-    for i in _bits(t.black):
-        black_arr |= one << table[:, i]
-    keys = (gray_arr << np.int64(m)) | black_arr
+    keys = (_mask_images(table, t.gray) << np.int64(m)) | _mask_images(table, t.black)
     return int(keys.min())
 
 
@@ -156,19 +192,44 @@ def _augment(n: int, reps: list[int]) -> list[int]:
     return sorted(out)
 
 
+def _prefix_groups(n: int, gray: int) -> list[tuple[int, np.ndarray]]:
+    """The screen's orbit steps for one gray set: (C(j,2), images) per prefix 0..j-1.
+
+    G_j holds the automorphisms of the gray graph that fix vertices
+    j..n-1, read off the rows of the pair table that fix vertex n-1.  Each
+    maps the pairs inside the prefix onto themselves, and ``images[i, g]``
+    is 2^(g(i)) for each prefix pair i.  Steps run for 3 <= j < n, and only
+    where G_j is not trivial.
+    """
+    import numpy as np
+
+    table, support = _last_fixed_perms(n)
+    autos = _mask_images(table, gray) == gray
+    steps = []
+    for j in range(n - 1, 2, -1):  # G_j shrinks as j falls: stop at the first trivial one
+        group = table[autos & (support <= j), : pair_count(j)]
+        if len(group) == 1:
+            break
+        steps.append((pair_count(j), np.int64(1) << group.T))
+    return steps[::-1]
+
+
 def isat_min(
     n: int,
     h: PatternGraph,
     k_max: int | None = None,
     label: str | None = None,
+    progress: Callable[[dict], None] | None = None,
 ) -> SearchResult:
     """Least gray count of an induced-h-saturated trigraph on n vertices.
 
     Scans gray-set sizes 0..k_max; returns min_gray=None if no witness
     exists up to k_max (flagged, not an error).  ``stats["levels"]`` has
     one entry per gray count k searched: the gray-set classes run through
-    the kernel, the saturated rows it returned, their distinct witness
-    classes and the level's seconds.
+    the kernel, the saturated rows it returned (orbit-reduced, so fewer
+    than the labelled colorings), the most rows one screen held, their
+    distinct witness classes and the level's seconds.  ``progress``, if
+    given, is called with each entry as its level ends.
     """
     if not 2 <= n <= SEARCH_MAX_VERTICES:
         raise ResourceLimitError(f"search supports 2 <= n <= {SEARCH_MAX_VERTICES}, got {n}")
@@ -178,6 +239,7 @@ def isat_min(
     if not 0 <= k_max <= m:
         raise ValueError(f"k_max must be within 0..{m}")
     formula = DnfFormula(m, induced_placements(n, h))
+    full = (1 << m) - 1
     start = time.perf_counter()
     min_gray, keys = None, set()
     reps = [0]
@@ -186,21 +248,24 @@ def isat_min(
         level_start = time.perf_counter()
         if k:
             reps = _augment(n, reps)
-        rows = [
-            (gray, black)
-            for gray in reps
-            for black in _saturated_true_masks(formula, gray).tolist()
-        ]
+        rows, peak = [], 0
+        for gray in reps:
+            true, clauses, held = _screen(formula, gray, _prefix_groups(n, gray))
+            peak = max(peak, held)
+            rows.extend((gray, black) for black in _covered(true, clauses, full & ~gray).tolist())
         keys = {canonical_key(Trigraph(n, black, gray)) for gray, black in rows}
         levels.append(
             {
                 "k": k,
                 "gray_classes": len(reps),
                 "saturated_rows": len(rows),
+                "peak_rows": peak,
                 "witness_classes": len(keys),
                 "seconds": time.perf_counter() - level_start,
             }
         )
+        if progress is not None:
+            progress(levels[-1])
         if keys:
             min_gray = k
             break

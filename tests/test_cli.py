@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -66,6 +67,21 @@ def test_search_naive_flag_agrees(capsys):
     _, naive, _ = run_json(capsys, "search", "--n", "4", "--pattern", "p4", "--naive")
     assert fast["result"]["min_gray"] == naive["result"]["min_gray"]
     assert fast["result"]["witnesses"] == naive["result"]["witnesses"]
+
+
+def test_search_progress_leaves_stdout_unchanged(capsys, monkeypatch):
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)  # equal timings in both reports
+    code, plain, quiet = run(capsys, "search", "--n", "6", "--pattern", "p4")
+    assert (code, quiet) == (0, "")
+    code, out, err = run(capsys, "search", "--n", "6", "--pattern", "p4", "--progress")
+    assert code == 0
+    assert out == plain
+    lines = err.splitlines()
+    assert [line.split()[1] for line in lines] == ["k=0", "k=1", "k=2", "k=3"]
+    assert lines[-1] == (
+        "search: k=3 gray_classes=5 saturated_rows=29 peak_rows=112"
+        " witness_classes=11 seconds=0.000"
+    )
 
 
 def test_search_resource_cap_exit_code(capsys):

@@ -182,7 +182,7 @@ def test_kernel_matches_scalar_check_on_split_blocks_at_n6(h, min_gray):
     a bound of 64 entries also splits the classes that have saturated rows."""
     f = dnf.encode_pattern(6, h)
     full = (1 << f.m) - 1
-    rows, clauses = dnf._screen(f, 0)
+    rows, clauses, _ = dnf._screen(f, 0)
     group = max(Counter(mask.bit_length() for mask, _ in clauses).values())
     assert group * rows.size > dnf._COVERAGE_BLOCK
     reps, frees = [0], [0]
@@ -221,7 +221,7 @@ def test_min_unassigned_matches_brute_minimum(f):
 
 def _sweep_rows(f):
     """Saturated rows of every free set the sweep reaches, keyed by free mask."""
-    s, _ = dnf._screen(f, 0)
+    s = dnf._screen(f, 0)[0]
     full = (1 << f.m) - 1
     return {
         free: dnf._saturated_in_cube(cube, full & ~free).tolist()
@@ -243,7 +243,7 @@ def test_sweep_matches_kernel_and_brute_checks(f):
 
 def test_sweep_first_saturated_set_follows_a_pruned_subtree():
     f = dnf.DnfFormula(4, ((0b0010, 0),))  # the clause "x2" over four variables
-    s, _ = dnf._screen(f, 0)
+    s = dnf._screen(f, 0)[0]
     assert s.tolist() == [0b0000, 0b0001, 0b0100, 0b0101, 0b1000, 0b1001, 0b1100, 0b1101]
     # C({0, 1}) is empty, so {0, 1, 2} and {0, 1, 3} are never reached; {0, 2, 3} is
     assert [free for free, _ in dnf._cubes(s, 4, 2)] == [0b0101, 0b1001, 0b1100]

@@ -4,15 +4,18 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indsat.constructions import construct_tn
-from indsat.dnf import encode_pattern, min_unassigned
+from indsat.dnf import _screen, encode_pattern, min_unassigned
 from indsat.errors import ResourceLimitError
-from indsat.patterns import C4, K3, P4, PatternGraph
+from indsat.patterns import C4, K3, P3, P4, PatternGraph, from_edges
 from indsat.saturation import is_indsat
 from indsat.search import (
     CanonicalForm,
     _perm_pair_table,
+    _prefix_groups,
     all_indsat_witnesses,
     canonical_form,
     canonical_key,
@@ -136,7 +139,7 @@ def test_isat_min_respects_kmax():
 
 def test_isat_min_argument_errors():
     with pytest.raises(ResourceLimitError):
-        isat_min(8, P4)
+        isat_min(9, P4)
     with pytest.raises(ResourceLimitError):
         isat_min(1, P4)
     with pytest.raises(ValueError):
@@ -170,10 +173,21 @@ def test_search_agrees_with_dnf_sweep_at_n6(h):
     assert isat_min(6, h).min_gray == min_unassigned(encode_pattern(6, h))
 
 
+# (min_gray, witness classes) at n = 6, 7 as the search gave them before the
+# screen's orbit steps; the n=8 bound is about six times P4's 0.5 s on a
+# 2-core x86 host with the n=8 permutation table still to build.
 @pytest.mark.parametrize(
     "n, h, min_gray, classes, bound_s",
-    [(7, P4, 3, 8, 10.0), (6, K3, 5, 1, 2.0)],
-    ids=["p4-n7", "k3-n6"],
+    [
+        (7, P4, 3, 8, 10.0),
+        (6, K3, 5, 1, 2.0),
+        (6, P4, 3, 11, 2.0),
+        (6, C4, 3, 1, 2.0),
+        (7, C4, 3, 1, 10.0),
+        (7, K3, 6, 1, 10.0),
+        (8, P4, 3, 2, 3.0),
+    ],
+    ids=["p4-n7", "k3-n6", "p4-n6", "c4-n6", "c4-n7", "k3-n7", "p4-n8"],
 )
 def test_search_pins(n, h, min_gray, classes, bound_s):
     start = time.perf_counter()
@@ -183,6 +197,28 @@ def test_search_pins(n, h, min_gray, classes, bound_s):
     assert elapsed < bound_s
     for w in res.witnesses:
         assert is_indsat(w.to_trigraph(), h).is_indsat
+
+
+PAW = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([P3, P4, C4, K3, PAW]),
+    st.integers(4, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, pair_count(n) - 1), max_size=5))
+    ),
+)
+def test_orbit_steps_keep_a_subset_with_every_class(h, case):
+    """The screen with the prefix groups against the screen without them."""
+    n, pairs = case
+    gray = sum(1 << i for i in pairs)
+    f = encode_pattern(n, h)
+    reduced = _screen(f, gray, _prefix_groups(n, gray))[0].tolist()
+    full = _screen(f, gray)[0].tolist()
+    assert set(reduced) <= set(full)
+    keys = {canonical_key(Trigraph(n, black, gray)) for black in reduced}
+    assert keys == {canonical_key(Trigraph(n, black, gray)) for black in full}
 
 
 def test_naive_agrees_at_n4():
@@ -202,14 +238,24 @@ def test_level_stats_schema_and_totals():
     levels = res.stats["levels"]
     assert [level["k"] for level in levels] == list(range(res.min_gray + 1))
     for level in levels:
-        assert set(level) == {"k", "gray_classes", "saturated_rows", "witness_classes", "seconds"}
+        assert set(level) == {
+            "k",
+            "gray_classes",
+            "saturated_rows",
+            "peak_rows",
+            "witness_classes",
+            "seconds",
+        }
         assert level["seconds"] >= 0
         assert level["saturated_rows"] >= level["witness_classes"]
     assert sum(level["gray_classes"] for level in levels) == res.stats["gray_classes"]
-    # graphs on 6 vertices with 0..3 edges (OEIS A008406); the 70 rows were
-    # counted with the scalar dnf.is_saturated over every coloring of each class
+    # graphs on 6 vertices with 0..3 edges (OEIS A008406).  The screen keeps
+    # one row per orbit of each prefix's group, so the 29 saturated rows are
+    # fewer than the 70 labelled colorings the scalar dnf.is_saturated finds
+    # over every coloring of the five k=3 classes.
     assert [level["gray_classes"] for level in levels] == [1, 1, 2, 5]
-    assert [level["saturated_rows"] for level in levels] == [0, 0, 0, 70]
+    assert [level["saturated_rows"] for level in levels] == [0, 0, 0, 29]
+    assert [level["peak_rows"] for level in levels] == [520, 496, 188, 112]
     assert [level["witness_classes"] for level in levels] == [0, 0, 0, 11]
     assert len(res.witnesses) == 11
 
