@@ -149,12 +149,17 @@ def parse_family(name: str) -> Family:
 
 def sat_formula(family: Family, n: int) -> int | None:
     """Minimum edge count of an n-vertex saturated graph, where a closed
-    form is known; None where only bounds are known (clique minus an edge).
+    form is known; None where only bounds are known (clique minus an edge,
+    and long paths below their threshold).
 
     The 4-cycle value is Ollmann's floor((3n - 5)/2) for n >= 5 (L. T.
     Ollmann, "K_{2,2}-saturated graphs with a minimal number of edges",
     Proc. 3rd Southeastern Conference on Combinatorics, Graph Theory and
-    Computing, 1972)."""
+    Computing, 1972).  For a path on h >= 6 vertices, Kaszonyi and Tuza
+    ("Saturated graphs with minimal number of edges", J. Graph Theory 10,
+    1986) prove sat(n, P_h) = n - floor(n / a_h) for n >= a_h, where
+    a_h = 3 * 2^(j-1) - 1 if h = 2j and a_h = 2^(j+1) - 2 if h = 2j + 1;
+    below a_h the value is None (P6 at n=8 has sat 7, the formula 8)."""
     kind, h = family.kind, family.h
     if kind == "path":
         if h < 3:
@@ -167,11 +172,9 @@ def sat_formula(family: Family, n: int) -> int | None:
             return n // 2 if n % 2 == 0 else (n + 3) // 2
         if h == 5:
             return n - ((n - 2) // 6 + 1)
-        if h % 2 == 0:
-            half = h // 2
-            return n - n // (3 * 2 ** (half - 1) - 1)
-        half = (h - 1) // 2
-        return n - n // (2 ** (half + 1) - 2)
+        half = h // 2
+        a_h = 3 * 2 ** (half - 1) - 1 if h % 2 == 0 else 2 ** (half + 1) - 2
+        return n - n // a_h if n >= a_h else None
     if kind == "clique":
         if h < 3:
             raise ValueError("clique formulas start at 3 vertices")

@@ -11,19 +11,25 @@ clause exists iff the current assignment falsifies none of its literals;
 this clause-local check is exact and mirrors the per-pair locality of
 realization detection.  ``is_saturated`` applies it to one assignment.
 ``_saturated_true_masks`` applies it to every assignment of one free set
-at once, as a numpy kernel over an array of true-masks: a screen
-(``_screen``) that grows the array one assigned variable at a time and
-drops the rows leaving a clause completable, then a coverage pass
-(``_covered``) on the survivors, skipped when none survive.  The screen
-can also keep one row per orbit of given variable permutations at given
-prefix lengths (``_min_images``); only the minimum-gray search asks for
-that.  The coverage pass groups the clauses by their highest assigned
-variable and ORs each group's single-literal falsified sets into the
-rows in 2-D blocks of at most ``_COVERAGE_BLOCK`` (clause, row) entries.
-It takes the groups in descending order and, after each, drops the rows
-already missing an assigned variable at or above the group's, stopping
-once no row is left.  Every row is decided on its own.  The minimum-gray
-search runs the kernel per gray set.
+at once, as a numpy kernel over an array of true-masks.  The clauses
+enter as two int64 arrays, support and positive masks
+(``_clause_arrays``), built once per formula.  A screen (``_screen``)
+restricts them to the assigned variables, sorts them by their highest
+assigned variable (their top), grows the array one assigned variable at
+a time and, after placing v, drops the rows leaving completable a clause
+with top v; then a coverage pass (``_covered``) runs on the survivors,
+skipped when none survive.  Both passes work in 2-D blocks of at most
+``_COVERAGE_BLOCK`` (clause, row) entries: the screen fits as many of a
+top group's clauses in a block as the rows allow, and filters one clause
+at a time when only one fits.  The screen can also keep one row per
+orbit of given variable permutations at given prefix lengths
+(``_min_images``); only the minimum-gray search asks for that.  The
+coverage pass takes the screen's sorted arrays and group slices, ORs each
+group's single-literal falsified sets into the rows, takes the groups in
+descending order and, after each, drops the rows already missing an
+assigned variable at or above the group's, stopping once no row is left.
+Every row is decided on its own.  The minimum-gray search runs the
+kernel per gray set.
 
 ``min_unassigned`` runs the screen once, at the empty free set, giving
 S: the ascending true-masks of the full assignments that satisfy no
@@ -58,13 +64,19 @@ if TYPE_CHECKING:
 
     import numpy as np
 
+    # The screen's restricted clauses: (masks, pos) sorted by top, and one
+    # (v, lo, hi) slice per nonempty top group, ascending in v.
+    GroupedClauses = tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]
+
 COMPLETION_CAP = 20
 MIN_UNASSIGNED_MAX_VARS = 21
 # The most variables a file may declare: one per pair of the largest trigraph.
 MAX_VARIABLES = pair_count(MAX_VERTICES)
-# The most (clause, row) entries one block of the coverage pass holds:
-# 2^13 int64 entries keep each temporary at 64 KiB, so the pass adds about
-# 0.1 MiB to a search's peak memory (2^14 added about 0.4 MiB).
+# The most (clause, row) entries one 2-D block of the screen or the
+# coverage pass holds: 2^13 int64 entries keep each temporary at 64 KiB, so
+# the coverage pass adds about 0.1 MiB to a search's peak memory (2^14
+# added about 0.4 MiB).  The screen filters one clause at a time once more
+# than 2^12 rows leave room for only one clause per block.
 _COVERAGE_BLOCK = 1 << 13
 # The most entries one temporary of the screen's orbit step holds: 2^16
 # int64 entries are 512 KiB.  C4 at n=8 ran as fast with 2^16 as with
@@ -242,60 +254,90 @@ def is_saturated_brute(f: DnfFormula, a: PartialAssignment, cap: int = COMPLETIO
     )
 
 
-def _screen(
-    f: DnfFormula, free_mask: int, groups: Sequence[tuple[int, np.ndarray]] = ()
-) -> tuple[np.ndarray, list[tuple[int, int]], int]:
-    """Ascending true-masks of the assignments, outside free_mask, falsifying every clause.
+def _clause_arrays(f: DnfFormula) -> tuple[np.ndarray, np.ndarray]:
+    """The clauses as two int64 arrays: (support mask, positive mask)."""
+    import numpy as np
 
-    The array of true-masks grows one assigned variable at a time, and after
-    placing v the rows that leave some clause completable are dropped, for
-    the clauses whose highest assigned variable is v.  The assigned part of
-    a clause is completable iff its falsified set ``(true & mask) ^ pos`` is
-    empty.  Each doubling appends rows >= 2^v and each filter keeps order,
-    so the rows come out ascending.  Also returns the clauses restricted to
-    the assigned variables as (mask, pos) pairs, and the most rows the array
-    held; a clause with no assigned variable is completable under every
-    assignment, so the rows are empty.
+    signs = np.array(f.clauses, dtype=np.int64).reshape(-1, 2)
+    return signs[:, 0] | signs[:, 1], signs[:, 0]
+
+
+def _screen(
+    clauses: tuple[np.ndarray, np.ndarray],
+    assigned: int,
+    groups: Sequence[tuple[int, np.ndarray]] = (),
+) -> tuple[np.ndarray, GroupedClauses, int]:
+    """Ascending true-masks of the assignments of ``assigned`` falsifying every clause.
+
+    ``clauses`` is ``_clause_arrays(f)``.  The array of true-masks grows one
+    assigned variable at a time, and after placing v the rows that leave
+    some clause completable are dropped, for the clauses whose highest
+    assigned variable (their top) is v.  The assigned part of a clause is
+    completable iff its falsified set ``(true & mask) ^ pos`` is empty.
+    Each doubling appends rows >= 2^v and each filter keeps order, so the
+    rows come out ascending.  Also returns the clauses restricted to the
+    assigned variables, as (masks, pos, tops): both arrays sorted by top,
+    and one (v, lo, hi) per nonempty top group, ascending in v, giving the
+    group's slice; and the most rows the array held.  A clause with no
+    assigned variable is completable under every assignment, so the rows
+    are empty.
 
     ``groups`` holds optional orbit steps (b, images), ascending in b.  Once
     every assigned variable below b is placed, each row is replaced by its
     least image (``_min_images``) and duplicates are dropped.  Each column
     of ``images`` must be a permutation of the variables below b that
-    extends to a symmetry of the clause set fixing free_mask; then every
-    orbit of the final rows under those symmetries keeps a member, and each
-    kept row is one the screen without groups also returns.  Only the
+    extends to a symmetry of the clause set fixing the assigned set; then
+    every orbit of the final rows under those symmetries keeps a member, and
+    each kept row is one the screen without groups also returns.  Only the
     minimum-gray search passes groups.
 
-    The filters stay one per clause.  One 2-D filter over each top
-    variable's clauses, as the coverage pass does, was measured about 2.5x
-    slower on large row sets (P4 at free set {} and n=7: 88 ms against
-    30-36 ms) and faster only on small ones, such as orbit-reduced rows
-    (``BENCH_prefix_orbits.json``).
+    Each top group is filtered in 2-D blocks of at most ``_COVERAGE_BLOCK``
+    (clause, row) entries, so a block holds ``_COVERAGE_BLOCK // rows``
+    clauses; where only one clause fits, the filter is one 1-D pass per
+    clause.  A 2-D filter was measured about 2.5x slower than per-clause
+    filters on large row sets (P4 at free set {} and n=7: 88 ms against
+    30-36 ms) and faster on small ones, such as orbit-reduced rows
+    (``BENCH_prefix_orbits.json``); the block rule sends each row set to
+    the faster form with no added knob.
     """
     import numpy as np
 
-    assigned = ((1 << f.m) - 1) & ~free_mask
-    by_top: dict[int, list[tuple[int, int]]] = {}
-    for pos, neg in f.clauses:
-        mask = (pos | neg) & assigned
-        if not mask:
-            return np.empty(0, dtype=np.int64), [], 0
-        by_top.setdefault(mask.bit_length() - 1, []).append((mask, pos & assigned))
+    support, positive = clauses
+    masks = support & np.int64(assigned)
+    if not masks.all():
+        return np.empty(0, dtype=np.int64), (masks[:0], masks[:0], []), 0
+    # Sorting the restricted masks sorts the clauses by top, since top v
+    # means 2^v <= mask < 2^(v+1).
+    order = np.argsort(masks, kind="stable")
+    masks, pos = masks[order], positive[order] & np.int64(assigned)
+    bits = list(_bits(assigned))
+    bounds = np.searchsorted(masks, [1 << v for v in bits]).tolist() + [masks.size]
+    spans = list(zip(bits, bounds, bounds[1:]))
     pending = list(groups)
     true = np.zeros(1, dtype=np.int64)
     peak = 1
-    for v in _bits(assigned):
+    for v, lo, hi in spans:
         while pending and pending[0][0] <= v:
             true = _min_images(true, pending.pop(0)[1])
         true = np.concatenate((true, true | np.int64(1 << v)))
         peak = max(peak, true.size)
-        for mask, pos in by_top.get(v, ()):
-            true = true[(true & mask) != pos]
-    return true, [c for clauses in by_top.values() for c in clauses], peak
+        while lo < hi and true.size:
+            per = _COVERAGE_BLOCK // true.size
+            if per <= 1:
+                true = true[(true & masks[lo]) != pos[lo]]
+                lo += 1
+            else:
+                end = min(lo + per, hi)
+                block = (true & masks[lo:end, None]) != pos[lo:end, None]
+                true = true[block.all(axis=0)]
+                lo = end
+        if not true.size:
+            break
+    return true, (masks, pos, [span for span in spans if span[1] < span[2]]), peak
 
 
-def _min_images(true: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Each row's least image, ascending and without duplicates.
+def _least_images(true: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Each row's least image, in the order of the rows.
 
     ``images[i, g]`` is 2^(g(i)) for each of the b variables i and each
     permutation g, so the images of all rows are one exact int64 product of
@@ -311,6 +353,14 @@ def _min_images(true: np.ndarray, images: np.ndarray) -> np.ndarray:
     for lo in range(0, true.size, step):
         bits = (true[lo : lo + step, None] >> shifts) & 1
         least[lo : lo + step] = (bits @ images).min(axis=1)
+    return least
+
+
+def _min_images(true: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Each row's least image (``_least_images``), ascending and without duplicates."""
+    import numpy as np
+
+    least = _least_images(true, images)
     least.sort()
     keep = np.empty(least.size, dtype=bool)
     keep[:1] = True
@@ -324,37 +374,36 @@ def _saturated_true_masks(f: DnfFormula, free_mask: int) -> np.ndarray:
     The screen (``_screen``) keeps the rows that satisfy condition (1), and
     the coverage pass (``_covered``) those that also satisfy condition (2).
     """
-    true, clauses, _ = _screen(f, free_mask)
-    return _covered(true, clauses, ((1 << f.m) - 1) & ~free_mask)
+    assigned = ((1 << f.m) - 1) & ~free_mask
+    true, clauses, _ = _screen(_clause_arrays(f), assigned)
+    return _covered(true, clauses, assigned)
 
 
-def _covered(true: np.ndarray, clauses: list[tuple[int, int]], assigned: int) -> np.ndarray:
+def _covered(true: np.ndarray, clauses: GroupedClauses, assigned: int) -> np.ndarray:
     """The screened rows in which each assigned variable is some clause's only falsified literal.
 
-    The restricted clauses are grouped by their highest assigned variable v
-    and each group is evaluated as one (clauses x rows) block, split along
-    the rows so that no block exceeds ``_COVERAGE_BLOCK`` entries.  Groups
-    go in descending v; once every clause with top >= v is done, the
-    coverage of each assigned variable >= v is final, so the rows missing
-    one of them are dropped, and the pass stops when no row is left.  The
-    last comparison with the assigned mask decides the variables below the
+    ``clauses`` is the screen's (masks, pos, tops): the restricted clauses
+    sorted by their highest assigned variable v, and each group's slice.
+    Each group is evaluated as one (clauses x rows) block, split along the
+    rows so that no block exceeds ``_COVERAGE_BLOCK`` entries.  Groups go
+    in descending v; once every clause with top >= v is done, the coverage
+    of each assigned variable >= v is final, so the rows missing one of
+    them are dropped, and the pass stops when no row is left.  The last
+    comparison with the assigned mask decides the variables below the
     lowest top.  Each row's result depends on that row alone.
     """
     import numpy as np
 
     if not true.size:
         return true
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for mask, pos in clauses:
-        groups.setdefault(mask.bit_length() - 1, []).append((mask, pos))
+    masks, pos, tops = clauses
     covered = np.zeros_like(true)
-    for v in sorted(groups, reverse=True):
-        group = np.array(groups[v], dtype=np.int64)
-        masks, pos = group[:, :1], group[:, 1:]
-        step = max(1, _COVERAGE_BLOCK // len(group))
-        for lo in range(0, true.size, step):
-            rows = slice(lo, lo + step)
-            falsified = (true[rows] & masks) ^ pos
+    for v, lo, hi in reversed(tops):
+        group_masks, group_pos = masks[lo:hi, None], pos[lo:hi, None]
+        step = max(1, _COVERAGE_BLOCK // (hi - lo))
+        for start in range(0, true.size, step):
+            rows = slice(start, start + step)
+            falsified = (true[rows] & group_masks) ^ group_pos
             single = np.where(falsified & (falsified - 1) == 0, falsified, 0)
             covered[rows] |= np.bitwise_or.reduce(single, axis=0)
         keep = (np.int64(assigned >> v << v) & ~covered) == 0
@@ -435,7 +484,7 @@ def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
     if cap is None:
         cap = f.m
     full = (1 << f.m) - 1
-    s = _screen(f, 0)[0]
+    s = _screen(_clause_arrays(f), full)[0]
     for u in range(min(cap, f.m) + 1):
         for free, cube in _cubes(s, f.m, u):
             if _saturated_in_cube(cube, full & ~free).size:

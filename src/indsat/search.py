@@ -22,15 +22,22 @@ pair is the only wrongly colored pair of some placement.  It works in
 highest non-gray pair and taken in descending order, and drops a
 coloring as soon as one of its pairs can no longer be covered.  Each
 coloring is decided on its own, so the pass runs unchanged on
-orbit-reduced colorings.  Gray counts are taken in ascending order, and
-at each count the kernel runs on one gray set per isomorphism class of
-graphs with that many edges.  The classes are grown by augmentation:
+orbit-reduced colorings.  The placements enter the kernel as two int64
+arrays built once per search.  Gray counts are taken in ascending order,
+and at each count the kernel runs on one gray set per isomorphism class
+of graphs with that many edges.  The classes are grown by augmentation:
 add each free pair to every representative of the previous level and
-keep the canonical image.  Relabelling maps saturated trigraphs to
-saturated ones, so every witness class has a member whose gray set is
-its class representative; only the rows the kernel returns take a
-canonical form.  The first gray count with a witness is therefore the
-exact minimum.  The search runs up to n = 8 (``SEARCH_MAX_VERTICES``).
+keep the canonical image, all of one representative's extensions in one
+(permutations x free pairs) array (``_augment``).  Relabelling maps
+saturated trigraphs to saturated ones, so every witness class has a
+member whose gray set is its class representative; only the rows the
+kernel returns take a canonical form, all rows of one gray set in one
+pass (``_canonical_keys``): the least key is reached only at the
+permutations that give the least gray image, so the rows' black masks
+take their least images under those alone.  The first gray count with a
+witness is therefore the exact minimum.  The search runs up to n = 8
+(``SEARCH_MAX_VERTICES``); the n=8 permutation table is filled in row
+slices, so building it adds little memory beyond its own 8.6 MiB.
 
 ``enumerate_indsat`` (n <= 5) keeps an independent route for the
 cross-check: every labelled gray set, a vectorized no-realization screen
@@ -50,11 +57,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .dnf import DnfFormula, _covered, _screen
+from .dnf import _ORBIT_BLOCK, DnfFormula, _clause_arrays, _covered, _least_images, _screen
 from .errors import ResourceLimitError
 from .patterns import PatternGraph, induced_placements
 from .saturation import flips_all_create, is_indsat
@@ -84,22 +91,33 @@ class CanonicalForm:
 
 
 def _permutations(n: int) -> np.ndarray:
-    """Every permutation of range(n) as one row, in lexicographic order."""
+    """Every permutation of range(n) as one int8 row, in lexicographic order."""
     import numpy as np
 
-    return np.array(list(permutations(range(n))), dtype=np.int64).reshape(factorial(n), n)
+    count = factorial(n)
+    flat = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.int8, count=count * n)
+    return flat.reshape(count, n)
 
 
 @lru_cache(maxsize=None)
 def _perm_pair_table(n: int) -> np.ndarray:
-    """Row r maps each colex pair index to its image under permutation r."""
+    """Row r maps each colex pair index to its image under permutation r.
+
+    The rows are filled in slices of at most ``_ORBIT_BLOCK`` entries, in
+    int8 (n <= 8 keeps the pair indices below 28), so the only full-size
+    int64 array is the table itself.
+    """
     import numpy as np
 
     perms = _permutations(n)
-    pairs = np.array(list(all_pairs(n)), dtype=np.int64).reshape(-1, 2)
-    a, b = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return hi * (hi - 1) // 2 + lo
+    pairs = np.array(list(all_pairs(n)), dtype=np.intp).reshape(-1, 2)
+    table = np.empty((len(perms), len(pairs)), dtype=np.int64)
+    step = _ORBIT_BLOCK // max(1, len(pairs))
+    for start in range(0, len(perms), step):
+        a, b = perms[start : start + step, pairs[:, 0]], perms[start : start + step, pairs[:, 1]]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        table[start : start + step] = hi * (hi - 1) // 2 + lo
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -182,14 +200,58 @@ def _keys_to_forms(n: int, keys: set[int]) -> list[CanonicalForm]:
 
 
 def _augment(n: int, reps: list[int]) -> list[int]:
-    """One gray set per isomorphism class of graphs with one edge more than reps."""
+    """One gray set per isomorphism class of graphs with one edge more than reps.
+
+    A graph's canonical gray set is its least image under every vertex
+    permutation g, and g maps gray | 2^i to g(gray) | 2^g(i); so each
+    representative's one-edge extensions take their canonical sets from one
+    (permutations x free pairs) array, in slices of at most
+    ``_ORBIT_BLOCK`` entries.
+    """
+    import numpy as np
+
     m = pair_count(n)
+    table = _perm_pair_table(n)
+    one = np.int64(1)
     out: set[int] = set()
     for gray in reps:
-        for i in range(m):
-            if not gray >> i & 1:
-                out.add(canonical_key(Trigraph(n, 0, gray | 1 << i)) >> m)
+        free = [i for i in range(m) if not gray >> i & 1]
+        if not free:
+            continue
+        images = _mask_images(table, gray)
+        step = max(1, _ORBIT_BLOCK // len(free))
+        least = [
+            (images[lo : lo + step, None] | (one << table[lo : lo + step, free])).min(axis=0)
+            for lo in range(0, len(table), step)
+        ]
+        out.update(np.minimum.reduce(least).tolist())
     return sorted(out)
+
+
+def _canonical_keys(n: int, gray: int, blacks: np.ndarray) -> list[int]:
+    """``canonical_key`` of each trigraph with this gray set and a black mask in blacks.
+
+    The least key (gray image << m) | black image is reached only at the
+    permutations that give the least gray image, so the black masks take
+    their least images under those alone: exact int64 products
+    (``dnf._least_images``) over slices of at most ``_ORBIT_BLOCK // m``
+    permutations.
+    """
+    import numpy as np
+
+    m = pair_count(n)
+    table = _perm_pair_table(n)
+    images = _mask_images(table, gray)
+    least_gray = int(images.min())
+    perms = np.flatnonzero(images == least_gray)
+    step = max(1, _ORBIT_BLOCK // m)
+    black = np.minimum.reduce(
+        [
+            _least_images(blacks, np.int64(1) << table[perms[lo : lo + step]].T)
+            for lo in range(0, perms.size, step)
+        ]
+    )
+    return (np.int64(least_gray << m) | black).tolist()
 
 
 def _prefix_groups(n: int, gray: int) -> list[tuple[int, np.ndarray]]:
@@ -238,27 +300,30 @@ def isat_min(
         k_max = m
     if not 0 <= k_max <= m:
         raise ValueError(f"k_max must be within 0..{m}")
-    formula = DnfFormula(m, induced_placements(n, h))
+    clauses = _clause_arrays(DnfFormula(m, induced_placements(n, h)))
     full = (1 << m) - 1
     start = time.perf_counter()
-    min_gray, keys = None, set()
+    min_gray = None
     reps = [0]
     levels = []
     for k in range(k_max + 1):
         level_start = time.perf_counter()
         if k:
             reps = _augment(n, reps)
-        rows, peak = [], 0
+        rows, peak, keys = 0, 0, set()
         for gray in reps:
-            true, clauses, held = _screen(formula, gray, _prefix_groups(n, gray))
+            assigned = full & ~gray
+            true, grouped, held = _screen(clauses, assigned, _prefix_groups(n, gray))
             peak = max(peak, held)
-            rows.extend((gray, black) for black in _covered(true, clauses, full & ~gray).tolist())
-        keys = {canonical_key(Trigraph(n, black, gray)) for gray, black in rows}
+            blacks = _covered(true, grouped, assigned)
+            if blacks.size:
+                rows += blacks.size
+                keys.update(_canonical_keys(n, gray, blacks))
         levels.append(
             {
                 "k": k,
                 "gray_classes": len(reps),
-                "saturated_rows": len(rows),
+                "saturated_rows": rows,
                 "peak_rows": peak,
                 "witness_classes": len(keys),
                 "seconds": time.perf_counter() - level_start,

@@ -160,6 +160,11 @@ def test_sat_formula_values():
     assert sat_formula(parse_family("p5"), 7) == 6
     assert sat_formula(parse_family("ph:6"), 11) == 10
     assert sat_formula(parse_family("ph:7"), 14) == 13
+    # below Kaszonyi-Tuza's threshold a_h (11 for P6, 14 for P7) no value is
+    # known; at n=8 the exhaustive sat(8, P6) is 7 where n - floor(n/11) is 8
+    assert sat_formula(parse_family("ph:6"), 8) is None
+    assert sat_formula(parse_family("ph:6"), 10) is None
+    assert sat_formula(parse_family("ph:7"), 13) is None
     assert sat_formula(parse_family("k3"), 5) == 4
     assert sat_formula(parse_family("kh:4"), 6) == 9
     assert sat_formula(parse_family("c4"), 5) == 5  # Ollmann: floor((3n - 5)/2)

@@ -1,6 +1,5 @@
 import random
 import time
-from collections import Counter
 from itertools import product
 
 import pytest
@@ -12,7 +11,7 @@ from indsat.constructions import construct_tn, isat_formula, parse_family
 from indsat.errors import ResourceLimitError
 from indsat.patterns import C4, K3, P4
 from indsat.saturation import is_indsat
-from indsat.search import _augment
+from indsat.search import _augment, _black_array, _no_realization_survivors
 from indsat.trigraph import complete_gray, pair_count
 
 from conftest import all_trigraphs, trigraph_from_code
@@ -168,7 +167,10 @@ def test_kernel_matches_scalar_and_brute_checks(f):
 @settings(max_examples=100, deadline=None)
 @given(formulas(7))
 def test_kernel_in_one_row_blocks_matches_scalar_and_brute_checks(f):
-    """The same oracle with the coverage pass cut into blocks of one row each."""
+    """The same oracle with a block budget of one entry: the coverage pass runs
+    in blocks of one row each and the screen on its 1-D path, one filter per
+    clause.  With the real budget (the test above) at most 128 rows leave room
+    for many clauses per block, so there the screen runs its 2-D blocks."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dnf, "_COVERAGE_BLOCK", 1)
         _assert_kernel_matches_scalar_and_brute_checks(f)
@@ -176,15 +178,28 @@ def test_kernel_in_one_row_blocks_matches_scalar_and_brute_checks(f):
 
 @pytest.mark.parametrize("h, min_gray", [(P4, 3), (C4, 3), (K3, 5)], ids=["p4", "c4", "k3"])
 def test_kernel_matches_scalar_check_on_split_blocks_at_n6(h, min_gray):
-    """At n=6 the free set {} and every gray class with up to min_gray edges,
-    against the scalar check on each screened row.  At {} the largest clause
-    group times the rows exceeds one coverage block, so the pass runs split;
-    a bound of 64 entries also splits the classes that have saturated rows."""
+    """At n=6 the free set {} and every gray class with up to min_gray edges:
+    the screen's rows against a filter over every coloring, and the kernel's
+    against the scalar check on each of those rows, under three block
+    budgets.  The real budget splits the coverage pass at {}, since its
+    largest clause group times its rows exceeds it; 64 entries also splits
+    the classes that have saturated rows; and twice the rows the screen at
+    {} holds when it reaches its largest top group gives that group two
+    clauses per screen block, so the screen cuts it into several 2-D blocks
+    and a block that ran past its group's end would filter by clauses whose
+    top is not placed yet."""
     f = dnf.encode_pattern(6, h)
     full = (1 << f.m) - 1
-    rows, clauses, _ = dnf._screen(f, 0)
-    group = max(Counter(mask.bit_length() for mask, _ in clauses).values())
-    assert group * rows.size > dnf._COVERAGE_BLOCK
+    clauses = dnf._clause_arrays(f)
+    rows, (_, _, tops), _ = dnf._screen(clauses, full)
+    v, lo, hi = max(tops, key=lambda top: top[2] - top[1])
+    assert (hi - lo) * rows.size > dnf._COVERAGE_BLOCK
+    assert hi - lo > 2
+    # the colorings of the variables below v that leave completable no clause
+    # with a lower top, each doubled by placing v
+    lower = tuple(c for c in f.clauses if (c[0] | c[1]).bit_length() <= v)
+    held = 2 * _no_realization_survivors(_black_array(v, 0), 0, lower).size
+    budgets = [dnf._COVERAGE_BLOCK, 64, 2 * held]
     reps, frees = [0], [0]
     for _ in range(min_gray):
         reps = _augment(6, reps)
@@ -192,16 +207,19 @@ def test_kernel_matches_scalar_check_on_split_blocks_at_n6(h, min_gray):
     saturated = 0
     for free in frees:
         assigned = full & ~free
+        screened = _no_realization_survivors(_black_array(f.m, free), free, f.clauses).tolist()
         expected = [
             true
-            for true in dnf._screen(f, free)[0].tolist()
+            for true in screened
             if dnf.is_saturated(f, dnf.PartialAssignment(f.m, true, assigned & ~true))
         ]
         saturated += len(expected)
-        assert dnf._saturated_true_masks(f, free).tolist() == expected, free
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dnf, "_COVERAGE_BLOCK", 64)
-            assert dnf._saturated_true_masks(f, free).tolist() == expected, free
+        for budget in budgets:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dnf, "_COVERAGE_BLOCK", budget)
+                rows, grouped, _ = dnf._screen(clauses, assigned)
+                assert rows.tolist() == screened, (free, budget)
+                assert dnf._covered(rows, grouped, assigned).tolist() == expected, (free, budget)
     assert saturated  # the minimum-gray level has saturated rows
 
 
@@ -221,8 +239,8 @@ def test_min_unassigned_matches_brute_minimum(f):
 
 def _sweep_rows(f):
     """Saturated rows of every free set the sweep reaches, keyed by free mask."""
-    s = dnf._screen(f, 0)[0]
     full = (1 << f.m) - 1
+    s = dnf._screen(dnf._clause_arrays(f), full)[0]
     return {
         free: dnf._saturated_in_cube(cube, full & ~free).tolist()
         for u in range(f.m + 1)
@@ -243,7 +261,7 @@ def test_sweep_matches_kernel_and_brute_checks(f):
 
 def test_sweep_first_saturated_set_follows_a_pruned_subtree():
     f = dnf.DnfFormula(4, ((0b0010, 0),))  # the clause "x2" over four variables
-    s = dnf._screen(f, 0)[0]
+    s = dnf._screen(dnf._clause_arrays(f), 0b1111)[0]
     assert s.tolist() == [0b0000, 0b0001, 0b0100, 0b0101, 0b1000, 0b1001, 0b1100, 0b1101]
     # C({0, 1}) is empty, so {0, 1, 2} and {0, 1, 3} are never reached; {0, 2, 3} is
     assert [free for free, _ in dnf._cubes(s, 4, 2)] == [0b0101, 0b1001, 0b1100]

@@ -4,16 +4,20 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indsat.constructions import construct_tn
-from indsat.dnf import _screen, encode_pattern, min_unassigned
+import indsat.dnf as dnf
+import indsat.search as search
+from indsat.dnf import _clause_arrays, _screen, encode_pattern, min_unassigned
 from indsat.errors import ResourceLimitError
 from indsat.patterns import C4, K3, P3, P4, PatternGraph, from_edges
 from indsat.saturation import is_indsat
 from indsat.search import (
     CanonicalForm,
+    _augment,
+    _canonical_keys,
     _perm_pair_table,
     _prefix_groups,
     all_indsat_witnesses,
@@ -58,7 +62,7 @@ def test_canonical_form_of_all_gray_is_itself():
         assert canonical_form(t.permute(perm)) == form
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(9))
 def test_perm_pair_table_matches_double_loop(n):
     perms = list(permutations(range(n)))
     expected = [
@@ -69,6 +73,97 @@ def test_perm_pair_table_matches_double_loop(n):
     assert table.shape == (len(perms), pair_count(n))
     assert table.dtype == np.int64
     assert table.tolist() == expected
+
+
+@st.composite
+def gray_sets_with_black_rows(draw):
+    """n <= 7, a gray set and up to six black masks on the other pairs."""
+    n = draw(st.integers(2, 7))
+    m = pair_count(n)
+    gray = draw(st.integers(0, (1 << m) - 1))
+    blacks = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=6))
+    return n, gray, [black & ~gray for black in blacks]
+
+
+# a path 0-1-2-3-4-5 with the chord 2-4, vertex 6 isolated: no automorphism
+# but the identity, so one permutation gives the least gray image
+ASYMMETRIC_GRAY_N7 = sum(
+    1 << pair_index(u, v) for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gray_sets_with_black_rows())
+@example((7, ASYMMETRIC_GRAY_N7, [b & ~ASYMMETRIC_GRAY_N7 for b in (0, 6, 12345, (1 << 21) - 1)]))
+def test_canonical_keys_of_a_gray_set_match_canonical_key(case):
+    """One pass per gray set gives each row the key canonical_key gives it, also
+    with the permutations and the rows cut into blocks of a few entries."""
+    n, gray, blacks = case
+    expected = [canonical_key(Trigraph(n, black, gray)) for black in blacks]
+    assert _canonical_keys(n, gray, np.array(blacks, dtype=np.int64)) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_ORBIT_BLOCK", 64)
+        mp.setattr(dnf, "_ORBIT_BLOCK", 64)
+        assert _canonical_keys(n, gray, np.array(blacks, dtype=np.int64)) == expected
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_canonical_keys_match_canonical_key_exhaustively(n):
+    """Every gray set at n=4, and at n=5 every set of up to two gray pairs
+    (the empty one keeps all 120 permutations), with all their black masks."""
+    m = pair_count(n)
+    for gray in range(1 << m):
+        if n == 5 and gray.bit_count() > 2:
+            continue
+        blacks = [black for black in range(1 << m) if not black & gray]
+        expected = [canonical_key(Trigraph(n, black, gray)) for black in blacks]
+        assert _canonical_keys(n, gray, np.array(blacks, dtype=np.int64)) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_ORBIT_BLOCK", 64)
+            mp.setattr(dnf, "_ORBIT_BLOCK", 64)
+            assert _canonical_keys(n, gray, np.array(blacks, dtype=np.int64)) == expected
+
+
+def _augment_by_canonical_key(n, reps):
+    """The oracle: one canonical_key call per one-edge extension."""
+    m = pair_count(n)
+    return sorted(
+        {
+            canonical_key(Trigraph(n, 0, gray | 1 << i)) >> m
+            for gray in reps
+            for i in range(m)
+            if not gray >> i & 1
+        }
+    )
+
+
+# graphs on n vertices with k edges, k = 0..C(n,2) (OEIS A008406)
+@pytest.mark.parametrize(
+    "n, classes",
+    [
+        (4, [1, 1, 2, 3, 2, 1, 1]),
+        (5, [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1]),
+        (6, [1, 1, 2, 5, 9, 15, 21, 24, 24, 21, 15, 9, 5, 2, 1, 1]),
+        (7, [1, 1, 2, 5, 10, 21, 41, 65]),
+    ],
+    ids=["n4", "n5", "n6", "n7"],
+)
+def test_augment_matches_one_canonical_key_per_extension(n, classes):
+    """The batched augmentation against the per-extension loop, level by level;
+    at n=7 up to 7 edges, the last level also with blocks of 64 entries."""
+    reps = [0]
+    counts = [1]
+    for k in range(1, len(classes)):
+        expected = _augment_by_canonical_key(n, reps)
+        got = _augment(n, reps)
+        assert got == expected, (n, k)
+        if k == len(classes) - 1:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_ORBIT_BLOCK", 64)
+                assert _augment(n, reps) == expected
+        reps = got
+        counts.append(len(reps))
+    assert counts == classes
 
 
 def test_canonical_size_cap():
@@ -213,9 +308,10 @@ def test_orbit_steps_keep_a_subset_with_every_class(h, case):
     """The screen with the prefix groups against the screen without them."""
     n, pairs = case
     gray = sum(1 << i for i in pairs)
-    f = encode_pattern(n, h)
-    reduced = _screen(f, gray, _prefix_groups(n, gray))[0].tolist()
-    full = _screen(f, gray)[0].tolist()
+    clauses = _clause_arrays(encode_pattern(n, h))
+    assigned = ((1 << pair_count(n)) - 1) & ~gray
+    reduced = _screen(clauses, assigned, _prefix_groups(n, gray))[0].tolist()
+    full = _screen(clauses, assigned)[0].tolist()
     assert set(reduced) <= set(full)
     keys = {canonical_key(Trigraph(n, black, gray)) for black in reduced}
     assert keys == {canonical_key(Trigraph(n, black, gray)) for black in full}
