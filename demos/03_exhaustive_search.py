@@ -39,6 +39,6 @@ for k in range(7):
 
 print()
 print("== structural checks over the full witness corpus ==")
-for n in (4, 5):
+for n in (4, 5, 6):
     rep = run_fact_checks(n)
     print(f"  n={n}: {rep.witnesses} witnesses, all checks clean: {rep.ok}")

@@ -48,7 +48,7 @@ def check_monochromatic_cuts(t: Trigraph, h: PatternGraph) -> list[str]:
     """Every all-black or all-white bipartition must split into saturated halves."""
     out = []
     n = t.n
-    for bits in range(1, 1 << (n - 1)):  # fix vertex n-1 on side two
+    for bits in range(1, (1 << n) >> 1):  # fix vertex n-1 on side two
         side1 = [v for v in range(n) if bits >> v & 1]
         side2 = [v for v in range(n) if not bits >> v & 1]
         cut = set(t.cut_colors(side1, side2))

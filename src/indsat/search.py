@@ -34,15 +34,15 @@ member whose gray set is its class representative; only the rows the
 kernel returns take a canonical form, all rows of one gray set in one
 pass (``_canonical_keys``): the least key is reached only at the
 permutations that give the least gray image, so the rows' black masks
-take their least images under those alone.  The first gray count with a
-witness is therefore the exact minimum.  The search runs up to n = 8
-(``SEARCH_MAX_VERTICES``); the n=8 permutation table is filled in row
-slices, so building it adds little memory beyond its own 8.6 MiB.
+take their least images under those alone.  So each level gives every
+witness class with k gray pairs exactly once, as a canonical key.
 
-``enumerate_indsat`` (n <= 5) keeps an independent route for the
-cross-check: every labelled gray set, a vectorized no-realization screen
-over its colorings, canonical dedup of the survivors and the injection
-search of ``flips_all_create`` on each class representative.
+One level loop (``_levels``) serves three callers: ``isat_min`` stops at
+the first gray count with a witness, which is therefore the exact
+minimum; ``enumerate_indsat`` returns level k; ``all_indsat_witnesses``
+runs every level.  All run up to n = 8 (``SEARCH_MAX_VERTICES``, the
+limit of the permutation pair table); the n=8 table is filled in row
+slices, so building it adds little memory beyond its own 8.6 MiB.
 
 A deliberately simple sweep over all 3^C(n,2) trigraphs, with no
 symmetry reduction or filtering, is kept as the agreement oracle.
@@ -57,24 +57,23 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 from math import factorial
 from typing import TYPE_CHECKING
 
 from .dnf import _ORBIT_BLOCK, DnfFormula, _clause_arrays, _covered, _least_images, _screen
 from .errors import ResourceLimitError
 from .patterns import PatternGraph, induced_placements
-from .saturation import flips_all_create, is_indsat
+from .saturation import is_indsat
+from .saturation import flips_all_create  # noqa: F401  perfbench's search.flip_check hook
 from .trigraph import Trigraph, _bits, all_pairs, pair_count
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterator
 
     import numpy as np
 
-CANONICAL_MAX_VERTICES = 8
 NAIVE_MAX_VERTICES = 5
-ENUMERATE_MAX_VERTICES = 5
 SEARCH_MAX_VERTICES = 8
 
 
@@ -148,9 +147,9 @@ def canonical_key(t: Trigraph) -> int:
     import numpy as np
 
     n = t.n
-    if n > CANONICAL_MAX_VERTICES:
+    if n > SEARCH_MAX_VERTICES:
         raise ResourceLimitError(
-            f"canonical form uses full permutation search, capped at n={CANONICAL_MAX_VERTICES}"
+            f"canonical form uses full permutation search, capped at n={SEARCH_MAX_VERTICES}"
         )
     m = pair_count(n)
     if m == 0:
@@ -244,7 +243,7 @@ def _canonical_keys(n: int, gray: int, blacks: np.ndarray) -> list[int]:
     images = _mask_images(table, gray)
     least_gray = int(images.min())
     perms = np.flatnonzero(images == least_gray)
-    step = max(1, _ORBIT_BLOCK // m)
+    step = max(1, _ORBIT_BLOCK // max(1, m))
     black = np.minimum.reduce(
         [
             _least_images(blacks, np.int64(1) << table[perms[lo : lo + step]].T)
@@ -265,6 +264,8 @@ def _prefix_groups(n: int, gray: int) -> list[tuple[int, np.ndarray]]:
     """
     import numpy as np
 
+    if n < 4:  # no step; n = 0 has no vertex n-1 to fix
+        return []
     table, support = _last_fixed_perms(n)
     autos = _mask_images(table, gray) == gray
     steps = []
@@ -276,36 +277,20 @@ def _prefix_groups(n: int, gray: int) -> list[tuple[int, np.ndarray]]:
     return steps[::-1]
 
 
-def isat_min(
-    n: int,
-    h: PatternGraph,
-    k_max: int | None = None,
-    label: str | None = None,
-    progress: Callable[[dict], None] | None = None,
-) -> SearchResult:
-    """Least gray count of an induced-h-saturated trigraph on n vertices.
+def _levels(n: int, h: PatternGraph, k_max: int) -> Iterator[tuple[dict, set[int]]]:
+    """The search's gray levels k = 0..k_max: each level's stats and canonical keys.
 
-    Scans gray-set sizes 0..k_max; returns min_gray=None if no witness
-    exists up to k_max (flagged, not an error).  ``stats["levels"]`` has
-    one entry per gray count k searched: the gray-set classes run through
-    the kernel, the saturated rows it returned (orbit-reduced, so fewer
-    than the labelled colorings), the most rows one screen held, their
-    distinct witness classes and the level's seconds.  ``progress``, if
-    given, is called with each entry as its level ends.
+    The keys are those of every induced-h-saturated trigraph with exactly k
+    gray pairs, one per isomorphism class.  The stats are the gray-set
+    classes run through the kernel, the saturated rows it returned
+    (orbit-reduced, so fewer than the labelled colorings), the most rows
+    one screen held, their distinct witness classes and the level's
+    seconds.
     """
-    if not 2 <= n <= SEARCH_MAX_VERTICES:
-        raise ResourceLimitError(f"search supports 2 <= n <= {SEARCH_MAX_VERTICES}, got {n}")
     m = pair_count(n)
-    if k_max is None:
-        k_max = m
-    if not 0 <= k_max <= m:
-        raise ValueError(f"k_max must be within 0..{m}")
     clauses = _clause_arrays(DnfFormula(m, induced_placements(n, h)))
     full = (1 << m) - 1
-    start = time.perf_counter()
-    min_gray = None
     reps = [0]
-    levels = []
     for k in range(k_max + 1):
         level_start = time.perf_counter()
         if k:
@@ -319,20 +304,47 @@ def isat_min(
             if blacks.size:
                 rows += blacks.size
                 keys.update(_canonical_keys(n, gray, blacks))
-        levels.append(
-            {
-                "k": k,
-                "gray_classes": len(reps),
-                "saturated_rows": rows,
-                "peak_rows": peak,
-                "witness_classes": len(keys),
-                "seconds": time.perf_counter() - level_start,
-            }
-        )
+        level = {
+            "k": k,
+            "gray_classes": len(reps),
+            "saturated_rows": rows,
+            "peak_rows": peak,
+            "witness_classes": len(keys),
+            "seconds": time.perf_counter() - level_start,
+        }
+        yield level, keys
+
+
+def isat_min(
+    n: int,
+    h: PatternGraph,
+    k_max: int | None = None,
+    label: str | None = None,
+    progress: Callable[[dict], None] | None = None,
+) -> SearchResult:
+    """Least gray count of an induced-h-saturated trigraph on n vertices.
+
+    Scans gray-set sizes 0..k_max; returns min_gray=None if no witness
+    exists up to k_max (flagged, not an error).  ``stats["levels"]`` has
+    one entry per gray count k searched (see ``_levels``).  ``progress``,
+    if given, is called with each entry as its level ends.
+    """
+    if not 2 <= n <= SEARCH_MAX_VERTICES:
+        raise ResourceLimitError(f"search supports 2 <= n <= {SEARCH_MAX_VERTICES}, got {n}")
+    m = pair_count(n)
+    if k_max is None:
+        k_max = m
+    if not 0 <= k_max <= m:
+        raise ValueError(f"k_max must be within 0..{m}")
+    start = time.perf_counter()
+    min_gray = None
+    levels = []
+    for level, keys in _levels(n, h, k_max):
+        levels.append(level)
         if progress is not None:
-            progress(levels[-1])
+            progress(level)
         if keys:
-            min_gray = k
+            min_gray = level["k"]
             break
     witnesses = _keys_to_forms(n, keys)
     return SearchResult(
@@ -348,6 +360,33 @@ def isat_min(
             "levels": levels,
         },
     )
+
+
+def _check_enumeration_size(n: int) -> None:
+    if not 0 <= n <= SEARCH_MAX_VERTICES:
+        raise ResourceLimitError(
+            f"exhaustive enumeration supports 0 <= n <= {SEARCH_MAX_VERTICES}, got {n}"
+        )
+
+
+def enumerate_indsat(n: int, h: PatternGraph, k: int) -> list[CanonicalForm]:
+    """All canonical induced-h-saturated trigraphs with exactly k gray pairs.
+
+    Runs the search's levels 0..k and returns level k's classes.
+    """
+    _check_enumeration_size(n)
+    m = pair_count(n)
+    if not 0 <= k <= m:
+        raise ValueError(f"k must be within 0..{m}")
+    for _, keys in _levels(n, h, k):
+        pass
+    return _keys_to_forms(n, keys)
+
+
+def all_indsat_witnesses(n: int, h: PatternGraph) -> list[CanonicalForm]:
+    """Every canonical induced-h-saturated trigraph on n vertices (all gray counts)."""
+    _check_enumeration_size(n)
+    return _keys_to_forms(n, set().union(*(keys for _, keys in _levels(n, h, pair_count(n)))))
 
 
 def isat_min_naive(n: int, h: PatternGraph, label: str | None = None) -> SearchResult:
@@ -387,11 +426,11 @@ def isat_min_naive(n: int, h: PatternGraph, label: str | None = None) -> SearchR
     )
 
 
-# -- the cross-check route: screen, dedup and injection flips ------------
+# -- the screen's reference filter, used by tests/test_dnf.py -----------
 
 
 def _black_array(m: int, gray_mask: int) -> np.ndarray:
-    """All black masks over the non-gray pair positions, ascending."""
+    """All black masks over the non-gray pair positions, ascending: the reference's input."""
     import numpy as np
 
     free = [i for i in range(m) if not gray_mask >> i & 1]
@@ -405,7 +444,7 @@ def _black_array(m: int, gray_mask: int) -> np.ndarray:
 def _no_realization_survivors(
     black: np.ndarray, gray_mask: int, clauses: tuple[tuple[int, int], ...]
 ) -> np.ndarray:
-    """Colorings for which no induced placement is satisfiable."""
+    """The screen's reference, one clause at a time: the colorings realizing no placement."""
     import numpy as np
 
     surv = black
@@ -418,48 +457,3 @@ def _no_realization_survivors(
         if sat.any():
             surv = surv[~sat]
     return surv
-
-
-def _scan_gray_sets(
-    n: int, h: PatternGraph, gray_masks: list[int], clauses: tuple[tuple[int, int], ...]
-) -> set[int]:
-    """Canonical keys of the induced-h-saturated trigraphs over the given gray sets."""
-    m = pair_count(n)
-    seen: set[int] = set()
-    witness_keys: set[int] = set()
-    for gray_mask in gray_masks:
-        black = _black_array(m, gray_mask)
-        for b in _no_realization_survivors(black, gray_mask, clauses).tolist():
-            t = Trigraph(n, b, gray_mask)
-            key = canonical_key(t)
-            if key in seen:
-                continue
-            seen.add(key)
-            failing, _ = flips_all_create(t, h)
-            if failing is None:
-                witness_keys.add(key)
-    return witness_keys
-
-
-def enumerate_indsat(n: int, h: PatternGraph, k: int) -> list[CanonicalForm]:
-    """All canonical induced-h-saturated trigraphs with exactly k gray pairs.
-
-    Runs the cross-check route over every labelled gray set of size k.
-    """
-    if not 0 <= n <= ENUMERATE_MAX_VERTICES:
-        raise ResourceLimitError(
-            f"exhaustive enumeration is only feasible for n <= {ENUMERATE_MAX_VERTICES}"
-        )
-    m = pair_count(n)
-    if not 0 <= k <= m:
-        raise ValueError(f"k must be within 0..{m}")
-    gray_masks = [sum(1 << i for i in combo) for combo in combinations(range(m), k)]
-    return _keys_to_forms(n, _scan_gray_sets(n, h, gray_masks, induced_placements(n, h)))
-
-
-def all_indsat_witnesses(n: int, h: PatternGraph) -> list[CanonicalForm]:
-    """Every canonical induced-h-saturated trigraph on n vertices (all gray counts)."""
-    out: list[CanonicalForm] = []
-    for k in range(pair_count(n) + 1):
-        out.extend(enumerate_indsat(n, h, k))
-    return sorted(out)

@@ -159,6 +159,27 @@ def test_facts_subcommand(capsys):
     assert report["result"]["ok"] is True
 
 
+def test_facts_subcommand_at_n6(capsys):
+    code, report, _ = run_json(capsys, "facts", "--n", "6")
+    assert code == 0
+    assert report["result"]["ok"] is True
+    assert report["result"]["witnesses"] == 31
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--n", "9", "--k", "2"], ["facts", "--n", "9"]],
+    ids=["enumerate", "facts"],
+)
+def test_enumeration_resource_cap_exit_code(capsys, tmp_path, argv):
+    outdir = tmp_path / "wit"
+    extra = ["--outdir", str(outdir)] if argv[0] == "enumerate" else []
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not outdir.exists()
+
+
 def test_facts_rejects_a_pattern_other_than_p4(capsys):
     # the checks are lemmas about P4; a K3 corpus would report false violations
     code, out, err = run(capsys, "facts", "--n", "4", "--pattern", "k3")

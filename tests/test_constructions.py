@@ -9,7 +9,7 @@ from indsat.constructions import (
     sat_formula,
 )
 from indsat.detect import has_realization_of
-from indsat.patterns import C4, P4
+from indsat.patterns import P4, parse_pattern_id
 from indsat.saturation import is_indsat
 from indsat.search import _augment
 from indsat.trigraph import BLACK, GRAY, WHITE, Trigraph, all_pairs, pair_count
@@ -190,9 +190,20 @@ def _sat_by_gray_classes(n, h):
     return None
 
 
-@pytest.mark.parametrize("n, sat", [(5, 5), (6, 6), (7, 8)])
-def test_sat_formula_c4_matches_exhaustive_search(n, sat):
-    assert _sat_by_gray_classes(n, C4) == sat == sat_formula(parse_family("c4"), n)
+# every sat_formula branch that returns a value, from its least n up to 7
+SAT_FORMULA_CASES = [
+    (family, n)
+    for family, least in [("p3", 3), ("p4", 4), ("p5", 5), ("k3", 3), ("k4", 4), ("c4", 5)]
+    for n in range(least, 8)
+]
+
+
+@pytest.mark.parametrize(
+    "family, n", SAT_FORMULA_CASES, ids=[f"{family}-{n}" for family, n in SAT_FORMULA_CASES]
+)
+def test_sat_formula_matches_exhaustive_search(family, n):
+    expected = _sat_by_gray_classes(n, parse_pattern_id(family))
+    assert sat_formula(parse_family(family), n) == expected
 
 
 def test_sat_formula_domain_errors():

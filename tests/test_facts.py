@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from indsat.facts import (
@@ -15,7 +17,7 @@ from indsat.search import all_indsat_witnesses
 from indsat.trigraph import Trigraph, from_pairs, pair_count
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_corpus_has_no_violations(n):
     report = run_fact_checks(n)
     assert report.ok, report.violations
@@ -26,6 +28,19 @@ def test_corpus_n5_has_no_violations():
     report = run_fact_checks(5)
     assert report.ok
     assert report.witnesses == 11
+
+
+# the number of saturated P4 classes at each gray count
+@pytest.mark.parametrize(
+    "n, per_k",
+    [(6, {3: 11, 4: 14, 5: 4, 6: 2}), (7, {3: 8, 4: 22, 5: 31, 6: 14})],
+    ids=["n6", "n7"],
+)
+def test_corpus_n6_n7_has_no_violations(n, per_k):
+    report = run_fact_checks(n)
+    assert report.ok, report.violations
+    assert report.witnesses == sum(per_k.values())
+    assert Counter(w.gray.bit_count() for w in all_indsat_witnesses(n, P4)) == per_k
 
 
 def test_gray_shape_check_flags_gray_path():

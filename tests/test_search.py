@@ -1,5 +1,7 @@
 import random
 import time
+from collections import defaultdict
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -194,10 +196,18 @@ def _burnside_count(n, colors=3):
     return count
 
 
+@lru_cache(maxsize=None)
+def _trigraph_classes(n):
+    """One canonical form per isomorphism class of all 3^C(n,2) trigraphs."""
+    return sorted({canonical_form(t) for t in all_trigraphs(n)})
+
+
 def test_canonical_class_count_matches_burnside():
     assert _burnside_count(4) == 66
     keys = {canonical_key(t) for t in all_trigraphs(4)}
     assert len(keys) == 66
+    # the classes the all-k oracle below runs through is_indsat
+    assert len(_trigraph_classes(5)) == 792 == _burnside_count(5)
 
 
 # -- minimum-gray search ----------------------------------------------------
@@ -251,14 +261,28 @@ def _graphs_up_to_isomorphism(k):
 SMALL_PATTERNS = _graphs_up_to_isomorphism(3) + _graphs_up_to_isomorphism(4)
 
 
+def _saturated_classes_by_gray_count(n, h):
+    """The all-k oracle: the trigraph classes that pass is_indsat, by gray count."""
+    out = defaultdict(list)
+    for form in _trigraph_classes(n):
+        if is_indsat(form.to_trigraph(), h).is_indsat:
+            out[form.gray.bit_count()].append(form)
+    return out
+
+
 @pytest.mark.parametrize("h", SMALL_PATTERNS, ids=lambda h: f"k{h.k}-edges{h.edges}")
 def test_search_agrees_with_dnf_sweep_and_cross_check_route(h):
-    """The class-reduced kernel search against the unreduced DNF sweep, and its
-    witnesses against the screen-dedup-injection route of enumerate_indsat."""
+    """The class-reduced kernel search against the unreduced DNF sweep, and
+    isat_min's witnesses and enumerate_indsat at every gray count against the
+    all-k oracle: every trigraph class that passes is_indsat."""
     for n in range(h.k, 6):
+        expected = _saturated_classes_by_gray_count(n, h)
         res = isat_min(n, h)
         assert res.min_gray == min_unassigned(encode_pattern(n, h))
-        assert res.witnesses == enumerate_indsat(n, h, res.min_gray)
+        assert res.min_gray == min(expected, default=None)
+        assert res.witnesses == expected.get(res.min_gray, [])
+        for k in range(pair_count(n) + 1):
+            assert enumerate_indsat(n, h, k) == expected.get(k, []), (n, k)
         for w in res.witnesses:
             assert is_indsat(w.to_trigraph(), h).is_indsat
 
@@ -391,9 +415,20 @@ def test_enumerate_three_vertices_is_all_gray_only():
 
 def test_enumerate_bounds():
     with pytest.raises(ResourceLimitError):
-        enumerate_indsat(6, P4, 2)
+        enumerate_indsat(9, P4, 2)
+    with pytest.raises(ResourceLimitError):
+        all_indsat_witnesses(9, P4)
     with pytest.raises(ValueError):
         enumerate_indsat(4, P4, 7)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_enumeration_without_pairs_gives_the_one_trigraph(n):
+    """With no pair there is one trigraph, and it is vacuously saturated."""
+    for h in (P3, P4, K3):
+        assert enumerate_indsat(n, h, 0) == [CanonicalForm(n, 0, 0)]
+        assert all_indsat_witnesses(n, h) == [CanonicalForm(n, 0, 0)]
+        assert is_indsat(Trigraph(n), h).is_indsat
 
 
 def test_all_witnesses_counts():
