@@ -36,13 +36,17 @@ S: the ascending true-masks of the full assignments that satisfy no
 clause.  With C(F) the assignments with F's bits clear whose completions
 over F all lie in S, C({}) = S and C(F + {f}) keeps the x in C(F) with
 bit f clear and x | 2^f in C(F).  The saturated rows of F are the x in
-C(F) with x ^ 2^v outside C(F) for every assigned v.  Free sets are
-walked depth first, each C(F) derived from its prefix's by
-``np.searchsorted`` lookups; an empty C(F) prunes every superset.  An
-explicit 2^u completion sweep (``is_saturated_brute``) is kept as the
-independent oracle.  Only these kernels use numpy, and each imports it
-when called, so loading this module, ``is_saturated`` and the file
-reader do not.
+C(F) with x ^ 2^v outside C(F) for every assigned v, so the walk carries
+each row's neighbour mask nb_F(x), the v with x ^ 2^v in C(F), and a row
+is saturated exactly when its mask is 0.  The root masks on S come from
+one lookup per variable in a membership table of S; a child's rows and
+masks come from one ``np.searchsorted`` of x | 2^f in C(F), as
+nb_F(x) & nb_F(x | 2^f) less bit f.  Free sets are walked depth first,
+each C(F) derived from its prefix's; an empty C(F) prunes every
+superset.  An explicit 2^u completion sweep (``is_saturated_brute``) is
+kept as the independent oracle.  Only these kernels use numpy, and each
+imports it when called, so loading this module, ``is_saturated`` and the
+file reader do not.
 
 The minimization objective min_unassigned mirrors the trigraph
 minimum-gray objective; it is this artifact's framing, not a standard
@@ -413,55 +417,54 @@ def _covered(true: np.ndarray, clauses: GroupedClauses, assigned: int) -> np.nda
     return true[covered == assigned]
 
 
-def _member(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Which rows occur in the ascending, nonempty array table."""
-    import numpy as np
-
-    at = np.searchsorted(table, rows)
-    return table[np.minimum(at, table.size - 1)] == rows
-
-
-def _cubes(s: np.ndarray, m: int, u: int):
-    """Yield (free_mask, C(F)) for each u-set F of the m variables with C(F) nonempty.
+def _cubes(s: np.ndarray, m: int, sizes: Sequence[int]):
+    """Yield (free_mask, C(F), nb) for each F of the m variables with C(F) nonempty.
 
     C(F) holds the assignments with F's bits clear whose every completion
     over F lies in the ascending array s: C({}) = s, and
-    C(F + {f}) = {x in C(F) : bit f of x clear, x | 2^f in C(F)}.  Free sets
-    come depth first in lexicographic order, each C(F) derived from that of
-    its prefix; an empty C(F) is also empty for every superset, so its
-    subtree is skipped.  Every C(F) stays ascending.
+    C(F + {f}) = {x in C(F) : bit f of x clear, x | 2^f in C(F)}.  nb holds
+    each row's neighbour mask nb_F(x), the variables v with x ^ 2^v in C(F);
+    only assigned variables occur in it, since every row has F's bits clear.
+    The root masks come from one lookup per variable in a 2^m membership
+    table of s.  The rows of C(F + {f}) are those with bit f in
+    ``nb & ~x``, and their masks are nb_F(x) & nb_F(p) & ~2^f, with p the
+    row x | 2^f, found by one ``np.searchsorted``: x ^ 2^v is in
+    C(F + {f}) exactly when it and (x | 2^f) ^ 2^v are both in C(F).
+
+    Free sets come in the given sizes, each size walked depth first in
+    lexicographic order, each C(F) derived from that of its prefix; an
+    empty C(F) is also empty for every superset, so its subtree is
+    skipped.  Every C(F) stays ascending.
     """
     import numpy as np
 
-    def walk(free: int, cube: np.ndarray, start: int, depth: int):
-        if depth == u:
-            yield free, cube
+    def walk(free: int, cube: np.ndarray, nb: np.ndarray, start: int, left: int):
+        if not left:
+            yield free, cube, nb
             return
-        for f in range(start, m - u + depth + 1):
+        up = nb & ~cube
+        # the f in start..m-left that some row can add, in ascending order
+        reach = int(np.bitwise_or.reduce(up)) >> start << start & ((1 << (m - left + 1)) - 1)
+        for f in _bits(reach):
             bit = np.int64(1 << f)
-            clear = cube[(cube & bit) == 0]
-            child = clear[_member(clear | bit, cube)]
-            if child.size:
-                yield from walk(free | (1 << f), child, f + 1, depth + 1)
+            rows = np.flatnonzero(up & bit)
+            child = cube[rows]
+            above = np.searchsorted(cube, child | bit)
+            yield from walk(free | (1 << f), child, nb[rows] & nb[above] & ~bit, f + 1, left - 1)
 
-    if s.size:
-        yield from walk(0, s, 0, 0)
-
-
-def _saturated_in_cube(cube: np.ndarray, assigned: int) -> np.ndarray:
-    """The rows x of a nonempty C(F) with x ^ 2^v outside C(F) for every assigned v.
-
-    x's own completions over F all falsify the formula, so unassigning v
-    admits a satisfying completion exactly when x ^ 2^v is not in C(F).
-    """
-    import numpy as np
-
-    rows = cube
-    for v in _bits(assigned):
-        rows = rows[~_member(rows ^ np.int64(1 << v), cube)]
-        if not rows.size:
-            break
-    return rows
+    if not s.size:
+        return
+    # 2^m bytes, 2 MiB at MIN_UNASSIGNED_MAX_VARS; one searchsorted of s per
+    # variable costs about 7x the time but no memory beyond s's size.
+    member = np.zeros(1 << m, dtype=bool)
+    member[s] = True
+    nb = np.zeros_like(s)
+    for v in range(m):
+        bit = np.int64(1 << v)
+        nb |= member[s ^ bit] * bit
+    del member
+    for u in sizes:
+        yield from walk(0, s, nb, 0, u)
 
 
 def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
@@ -471,11 +474,13 @@ def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
     true-masks of the full assignments that satisfy no clause.  Free sets
     are then taken in ascending size and decided by array lookups on S:
     ``_cubes`` derives C(F), the rows whose completions over F all lie in
-    S, from the C of F's prefix, and the saturated rows of F are those of
-    C(F) that leave C(F) when any one assigned variable is flipped.  These
-    agree with ``is_saturated`` row by row.  No symmetry reduction: generic
-    formulas carry no vertex-permutation group to exploit.  On a 2-core x86
-    host, P4 takes ~0.03 s at n=6 and ~0.4 s at n=7.
+    S, and their neighbour masks from those of F's prefix.  The saturated
+    rows of F are those of C(F) that leave C(F) when any one assigned
+    variable is flipped, the rows whose mask is 0, so F has one exactly
+    when ``nb.all()`` fails.  These agree with ``is_saturated`` row by row.
+    No symmetry reduction: generic formulas carry no vertex-permutation
+    group to exploit.  On a 2-core x86 host, P4 takes ~0.01 s at n=6 and
+    ~0.1 s at n=7, K3 ~2 s and C4 ~2 s at n=7.
     """
     if f.m > MIN_UNASSIGNED_MAX_VARS:
         raise ResourceLimitError(
@@ -483,12 +488,10 @@ def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
         )
     if cap is None:
         cap = f.m
-    full = (1 << f.m) - 1
-    s = _screen(_clause_arrays(f), full)[0]
-    for u in range(min(cap, f.m) + 1):
-        for free, cube in _cubes(s, f.m, u):
-            if _saturated_in_cube(cube, full & ~free).size:
-                return u
+    s = _screen(_clause_arrays(f), (1 << f.m) - 1)[0]
+    for free, _, nb in _cubes(s, f.m, range(min(cap, f.m) + 1)):
+        if not nb.all():
+            return free.bit_count()
     return None
 
 

@@ -329,7 +329,9 @@ def isat_min(
     one entry per gray count k searched (see ``_levels``).  ``progress``,
     if given, is called with each entry as its level ends.
     """
-    if not 2 <= n <= SEARCH_MAX_VERTICES:
+    if n < 2:
+        raise ValueError(f"search needs n >= 2, got {n}")
+    if n > SEARCH_MAX_VERTICES:
         raise ResourceLimitError(f"search supports 2 <= n <= {SEARCH_MAX_VERTICES}, got {n}")
     m = pair_count(n)
     if k_max is None:
@@ -363,7 +365,9 @@ def isat_min(
 
 
 def _check_enumeration_size(n: int) -> None:
-    if not 0 <= n <= SEARCH_MAX_VERTICES:
+    if n < 0:
+        raise ValueError(f"exhaustive enumeration needs n >= 0, got {n}")
+    if n > SEARCH_MAX_VERTICES:
         raise ResourceLimitError(
             f"exhaustive enumeration supports 0 <= n <= {SEARCH_MAX_VERTICES}, got {n}"
         )
@@ -391,7 +395,9 @@ def all_indsat_witnesses(n: int, h: PatternGraph) -> list[CanonicalForm]:
 
 def isat_min_naive(n: int, h: PatternGraph, label: str | None = None) -> SearchResult:
     """Agreement oracle: scan all 3^C(n,2) trigraphs, no pruning of any kind."""
-    if not 2 <= n <= NAIVE_MAX_VERTICES:
+    if n < 2:
+        raise ValueError(f"the naive sweep needs n >= 2, got {n}")
+    if n > NAIVE_MAX_VERTICES:
         raise ResourceLimitError(
             f"the naive sweep is only feasible for 2 <= n <= {NAIVE_MAX_VERTICES}"
         )

@@ -180,6 +180,26 @@ def test_enumeration_resource_cap_exit_code(capsys, tmp_path, argv):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "-1", "--k", "0"],
+        ["facts", "--n", "-1"],
+        ["search", "--n", "1", "--pattern", "p4"],
+        ["search", "--n", "1", "--pattern", "p4", "--naive"],
+    ],
+    ids=["enumerate", "facts", "search", "search-naive"],
+)
+def test_too_small_n_is_a_bad_value_exit_code(capsys, tmp_path, argv):
+    # a size below the range is a bad value (exit 1), not a resource cap (exit 3)
+    outdir = tmp_path / "wit"
+    extra = ["--outdir", str(outdir)] if argv[0] == "enumerate" else []
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not outdir.exists()
+
+
 def test_facts_rejects_a_pattern_other_than_p4(capsys):
     # the checks are lemmas about P4; a K3 corpus would report false violations
     code, out, err = run(capsys, "facts", "--n", "4", "--pattern", "k3")

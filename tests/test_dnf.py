@@ -11,7 +11,7 @@ from indsat.constructions import construct_tn, isat_formula, parse_family
 from indsat.errors import ResourceLimitError
 from indsat.patterns import C4, K3, P4
 from indsat.saturation import is_indsat
-from indsat.search import _augment, _black_array, _no_realization_survivors
+from indsat.search import _augment, _black_array, _no_realization_survivors, isat_min
 from indsat.trigraph import complete_gray, pair_count
 
 from conftest import all_trigraphs, trigraph_from_code
@@ -239,13 +239,50 @@ def test_min_unassigned_matches_brute_minimum(f):
 
 def _sweep_rows(f):
     """Saturated rows of every free set the sweep reaches, keyed by free mask."""
+    s = dnf._screen(dnf._clause_arrays(f), (1 << f.m) - 1)[0]
+    return {
+        free: cube[nb == 0].tolist()
+        for free, cube, nb in dnf._cubes(s, f.m, range(f.m + 1))
+    }
+
+
+def _saturated_in_cube(cube, assigned):
+    """Reference rule: the rows x of C(F) with x ^ 2^v outside C(F) for every assigned v.
+
+    x's own completions over F all falsify the formula, so unassigning v
+    admits a satisfying completion exactly when x ^ 2^v is not in C(F).
+    """
+    rows = set(cube)
+    flips = [1 << v for v in range(assigned.bit_length()) if assigned >> v & 1]
+    return [x for x in cube if all(x ^ flip not in rows for flip in flips)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(7))
+def test_walk_carries_the_neighbour_masks_of_each_cube(f):
+    """Every free set with a nonempty C(F) is reached, in ascending size and
+    lexicographic order within a size; each yielded C(F) equals its
+    definition over S, each carried mask equals direct membership in C(F),
+    and the rows with an empty mask are those of the reference rule."""
     full = (1 << f.m) - 1
     s = dnf._screen(dnf._clause_arrays(f), full)[0]
-    return {
-        free: dnf._saturated_in_cube(cube, full & ~free).tolist()
-        for u in range(f.m + 1)
-        for free, cube in dnf._cubes(s, f.m, u)
-    }
+    rows_s = s.tolist()
+    in_s = set(rows_s)
+    cubes = {}  # C(F) by definition: the x with F's bits clear and every completion in S
+    for free in range(1 << f.m):
+        subsets = [sub for sub in range(free + 1) if sub & ~free == 0]
+        cube = [x for x in rows_s if x & free == 0 and all(x | sub in in_s for sub in subsets)]
+        if cube:
+            cubes[free] = cube
+    walked = list(dnf._cubes(s, f.m, range(f.m + 1)))
+    order = sorted(cubes, key=lambda free: (free.bit_count(), [v for v in range(f.m) if free >> v & 1]))
+    assert [free for free, _, _ in walked] == order
+    for free, cube, nb in walked:
+        assert cube.tolist() == cubes[free], free
+        rows = set(cubes[free])
+        direct = [sum(1 << v for v in range(f.m) if x ^ (1 << v) in rows) for x in cubes[free]]
+        assert nb.tolist() == direct, free
+        assert cube[nb == 0].tolist() == _saturated_in_cube(cubes[free], full & ~free), free
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,8 +301,10 @@ def test_sweep_first_saturated_set_follows_a_pruned_subtree():
     s = dnf._screen(dnf._clause_arrays(f), 0b1111)[0]
     assert s.tolist() == [0b0000, 0b0001, 0b0100, 0b0101, 0b1000, 0b1001, 0b1100, 0b1101]
     # C({0, 1}) is empty, so {0, 1, 2} and {0, 1, 3} are never reached; {0, 2, 3} is
-    assert [free for free, _ in dnf._cubes(s, 4, 2)] == [0b0101, 0b1001, 0b1100]
-    assert [(free, cube.tolist()) for free, cube in dnf._cubes(s, 4, 3)] == [(0b1101, [0])]
+    assert [free for free, _, _ in dnf._cubes(s, 4, [2])] == [0b0101, 0b1001, 0b1100]
+    assert [(free, cube.tolist(), nb.tolist()) for free, cube, nb in dnf._cubes(s, 4, [3])] == [
+        (0b1101, [0], [0])
+    ]
     assert dnf.min_unassigned(f) == 3
 
 
@@ -287,7 +326,10 @@ def test_min_unassigned_reaches_n6_and_n7():
     p4_n7 = dnf.encode_pattern(7, P4)
     start = time.perf_counter()
     assert dnf.min_unassigned(p4_n7) == 3
-    assert time.perf_counter() - start < 5.0  # about 0.4 s on a 2-core x86 host
+    assert time.perf_counter() - start < 5.0  # about 0.1 s on a 2-core x86 host
+    # about 2 s on a 2-core x86 host
+    k3_n7 = dnf.min_unassigned(dnf.encode_pattern(7, K3))
+    assert k3_n7 == 6 == isat_formula(parse_family("k3"), 7) == isat_min(7, K3).min_gray
 
 
 def test_resource_caps():

@@ -245,7 +245,7 @@ def test_isat_min_respects_kmax():
 def test_isat_min_argument_errors():
     with pytest.raises(ResourceLimitError):
         isat_min(9, P4)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ValueError):
         isat_min(1, P4)
     with pytest.raises(ValueError):
         isat_min(4, P4, k_max=7)
@@ -351,6 +351,8 @@ def test_naive_agrees_at_n4():
 def test_naive_size_cap():
     with pytest.raises(ResourceLimitError):
         isat_min_naive(6, P4)
+    with pytest.raises(ValueError):
+        isat_min_naive(1, P4)
 
 
 def test_level_stats_schema_and_totals():
@@ -420,6 +422,10 @@ def test_enumerate_bounds():
         all_indsat_witnesses(9, P4)
     with pytest.raises(ValueError):
         enumerate_indsat(4, P4, 7)
+    with pytest.raises(ValueError):
+        enumerate_indsat(-1, P4, 0)
+    with pytest.raises(ValueError):
+        all_indsat_witnesses(-1, P4)
 
 
 @pytest.mark.parametrize("n", [0, 1])
