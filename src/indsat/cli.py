@@ -234,8 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact minimum gray count by exhaustive search")
     p.add_argument("--n", type=int, required=True)
     add_pattern_flags(p)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--naive", action="store_true", help="use the unpruned 3^C(n,2) sweep")
+    p.add_argument("--kmax", type=int, default=None, help="highest gray count to search")
+    p.add_argument(
+        "--naive",
+        action="store_true",
+        help="use the unpruned 3^C(n,2) sweep, 2 <= n <= 5 (not with --kmax or --progress)",
+    )
     p.add_argument(
         "--progress",
         action="store_true",
@@ -282,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "naive", False) and (args.kmax is not None or args.progress):
+        parser.error("search: --naive takes neither --kmax nor --progress")
     try:
         return args.func(args)
     except ResourceLimitError as exc:

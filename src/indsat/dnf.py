@@ -293,7 +293,8 @@ def _screen(
     extends to a symmetry of the clause set fixing the assigned set; then
     every orbit of the final rows under those symmetries keeps a member, and
     each kept row is one the screen without groups also returns.  Only the
-    minimum-gray search passes groups.
+    minimum-gray search passes groups, each a slice of its permutation pair
+    table, which is stored in this form.
 
     Each top group is filtered in 2-D blocks of at most ``_COVERAGE_BLOCK``
     (clause, row) entries, so a block holds ``_COVERAGE_BLOCK // rows``
@@ -345,8 +346,9 @@ def _least_images(true: np.ndarray, images: np.ndarray) -> np.ndarray:
 
     ``images[i, g]`` is 2^(g(i)) for each of the b variables i and each
     permutation g, so the images of all rows are one exact int64 product of
-    the rows' b bits with ``images``.  The rows go in slices that keep each
-    temporary within ``_ORBIT_BLOCK`` entries.
+    the rows' b bits with ``images``.  The search's permutation pair table
+    has this form, so its slices come in as they are.  The rows go in
+    slices that keep each temporary within ``_ORBIT_BLOCK`` entries.
     """
     import numpy as np
 

@@ -133,19 +133,19 @@ def _swap(x: int, p: int, q: int) -> int:
 def flips_all_create(
     t: Trigraph,
     h: PatternGraph,
+    masks: tuple[list[int], list[int]],
     collect: bool = False,
-    masks: Optional[tuple[list[int], list[int]]] = None,
 ) -> tuple[Optional[tuple[int, int]], FlipScan]:
     """Condition (b): every non-gray pair, once flipped, admits an induced h.
 
     Assumes condition (a) holds for t, which makes it sound to search
     only injections through the flipped pair: any witness avoiding it
-    would already be a witness in t.  The compatibility masks are taken
-    from masks or built once, and the pattern's plan is fetched once; the
-    masks are left as they were found.  Only the representative of
-    each flip orbit (see `flip_orbits`) is searched: its flip sets the
-    pair's two symmetric bits (in wg for a black pair, in bg for a white
-    one), searches, and clears them again.  With collect, the images
+    would already be a witness in t.  masks is t's (bg, wg) pair from
+    `detect._compat_masks`, built by the caller; the pattern's plan is
+    fetched once, and the masks are left as they were found.  Only the
+    representative of each flip orbit (see `flip_orbits`) is searched: its
+    flip sets the pair's two symmetric bits (in wg for a black pair, in bg
+    for a white one), searches, and clears them again.  With collect, the images
     found for a representative (u, v) are carried to each pair (x, y) of
     its orbit by the twin swaps (u x), then (v' y) with v' the image of v
     under the first swap; together they send u to x and v to y.
@@ -154,9 +154,8 @@ def flips_all_create(
     """
     found: dict[tuple[int, int], Embedding] = {}
     searched = pairs = 0
-    # looked up on the module so that one patch point sees every mask build
-    # and every plan fetch
-    bg, wg = detect._compat_masks(t) if masks is None else masks
+    # looked up on the module so that one patch point sees every plan fetch
+    bg, wg = masks
     plan = detect._plan(h)
     failing = None
     for u, v, a, b in flip_orbits(bg, wg):
@@ -195,7 +194,7 @@ def is_indsat(t: Trigraph, h: PatternGraph, want_witnesses: bool = False) -> Sat
     masks = detect._compat_masks(t)
     if _find_injection(t, h, masks) is not None:
         return SaturationReport(holds_free=False, failing_flip=None)
-    failing, scan = flips_all_create(t, h, collect=want_witnesses, masks=masks)
+    failing, scan = flips_all_create(t, h, masks, collect=want_witnesses)
     return SaturationReport(True, failing, scan.witnesses, scan.searched, scan.pairs)
 
 

@@ -41,8 +41,17 @@ One level loop (``_levels``) serves three callers: ``isat_min`` stops at
 the first gray count with a witness, which is therefore the exact
 minimum; ``enumerate_indsat`` returns level k; ``all_indsat_witnesses``
 runs every level.  All run up to n = 8 (``SEARCH_MAX_VERTICES``, the
-limit of the permutation pair table); the n=8 table is filled in row
-slices, so building it adds little memory beyond its own 8.6 MiB.
+limit of the permutation pair table).
+
+The symmetry layer reads one table, ``_perm_pair_table(n)``: entry
+[i, g] is 2^g(i) for each colex pair i and each of the n! permutations g,
+pair-major, and the first j! columns are exactly the permutations that
+fix vertices j..n-1.  A mask's images OR whole rows (``_mask_images``);
+any set of columns, sliced to the first C(j,2) rows for a prefix, is the
+images matrix that ``dnf._least_images`` and the screen's orbit steps
+read; and G_j is the gray graph's automorphisms among the first j!
+columns.  The n=8 table is 8.6 MiB, filled in column slices, so building
+it adds little memory beyond its own.
 
 A deliberately simple sweep over all 3^C(n,2) trigraphs, with no
 symmetry reduction or filtering, is kept as the agreement oracle.
@@ -89,56 +98,41 @@ class CanonicalForm:
         return Trigraph(self.n, self.black, self.gray)
 
 
-def _permutations(n: int) -> np.ndarray:
-    """Every permutation of range(n) as one int8 row, in lexicographic order."""
-    import numpy as np
-
-    count = factorial(n)
-    flat = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.int8, count=count * n)
-    return flat.reshape(count, n)
-
-
 @lru_cache(maxsize=None)
 def _perm_pair_table(n: int) -> np.ndarray:
-    """Row r maps each colex pair index to its image under permutation r.
+    """Entry [i, g] is 2^(g(i)), the bit of the image of colex pair i under
+    permutation g, for every permutation g of range(n).
 
-    The rows are filled in slices of at most ``_ORBIT_BLOCK`` entries, in
-    int8 (n <= 8 keeps the pair indices below 28), so the only full-size
-    int64 array is the table itself.
+    The columns are the lexicographic permutations conjugated by
+    v -> n-1-v, so the first j! columns are exactly the permutations that
+    fix vertices j..n-1.  The table is pair-major, so a mask's images OR
+    whole rows, and any set of columns is the ``images`` matrix that
+    ``dnf._least_images`` reads.  It is filled in column slices of at most
+    ``_ORBIT_BLOCK`` entries, from int8 pair indices (n <= 8 keeps them
+    below 28), so the only full-size int64 array is the table itself.
     """
     import numpy as np
 
-    perms = _permutations(n)
+    count = factorial(n)
+    lex = np.fromiter(chain.from_iterable(permutations(range(n - 1, -1, -1))), np.int8, count * n)
+    perms = lex.reshape(count, n)[:, ::-1]
     pairs = np.array(list(all_pairs(n)), dtype=np.intp).reshape(-1, 2)
-    table = np.empty((len(perms), len(pairs)), dtype=np.int64)
+    table = np.empty((len(pairs), count), dtype=np.int64)
     step = _ORBIT_BLOCK // max(1, len(pairs))
-    for start in range(0, len(perms), step):
+    for start in range(0, count, step):
         a, b = perms[start : start + step, pairs[:, 0]], perms[start : start + step, pairs[:, 1]]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        table[start : start + step] = hi * (hi - 1) // 2 + lo
+        table[:, start : start + step] = (np.int64(1) << (hi * (hi - 1) // 2 + lo)).T
     return table
 
 
-@lru_cache(maxsize=None)
-def _last_fixed_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``_perm_pair_table(n)`` whose permutation fixes vertex n-1,
-    and for each, one more than the highest vertex it moves (0 if none)."""
-    import numpy as np
-
-    perms = _permutations(n)
-    fixed = perms[:, n - 1] == n - 1
-    support = ((perms[fixed] != np.arange(n)) * np.arange(1, n + 1)).max(axis=1, initial=0)
-    return _perm_pair_table(n)[fixed], support
-
-
 def _mask_images(table: np.ndarray, mask: int) -> np.ndarray:
-    """The image of a pair mask under every permutation of the pair table."""
+    """The image of a pair mask under every permutation (column) of the pair table."""
     import numpy as np
 
-    out = np.zeros(table.shape[0], dtype=np.int64)
-    one = np.int64(1)
+    out = np.zeros(table.shape[1], dtype=np.int64)
     for i in _bits(mask):
-        out |= one << table[:, i]
+        out |= table[i]
     return out
 
 
@@ -204,14 +198,14 @@ def _augment(n: int, reps: list[int]) -> list[int]:
     A graph's canonical gray set is its least image under every vertex
     permutation g, and g maps gray | 2^i to g(gray) | 2^g(i); so each
     representative's one-edge extensions take their canonical sets from one
-    (permutations x free pairs) array, in slices of at most
-    ``_ORBIT_BLOCK`` entries.
+    (free pairs x permutations) array, the gray set's images ORed into the
+    pair table's free rows, in column slices of at most ``_ORBIT_BLOCK``
+    entries.
     """
     import numpy as np
 
     m = pair_count(n)
     table = _perm_pair_table(n)
-    one = np.int64(1)
     out: set[int] = set()
     for gray in reps:
         free = [i for i in range(m) if not gray >> i & 1]
@@ -220,8 +214,8 @@ def _augment(n: int, reps: list[int]) -> list[int]:
         images = _mask_images(table, gray)
         step = max(1, _ORBIT_BLOCK // len(free))
         least = [
-            (images[lo : lo + step, None] | (one << table[lo : lo + step, free])).min(axis=0)
-            for lo in range(0, len(table), step)
+            (images[lo : lo + step] | table[free, lo : lo + step]).min(axis=1)
+            for lo in range(0, images.size, step)
         ]
         out.update(np.minimum.reduce(least).tolist())
     return sorted(out)
@@ -233,8 +227,8 @@ def _canonical_keys(n: int, gray: int, blacks: np.ndarray) -> list[int]:
     The least key (gray image << m) | black image is reached only at the
     permutations that give the least gray image, so the black masks take
     their least images under those alone: exact int64 products
-    (``dnf._least_images``) over slices of at most ``_ORBIT_BLOCK // m``
-    permutations.
+    (``dnf._least_images``) with the pair table's columns for those
+    permutations, in slices of at most ``_ORBIT_BLOCK // m`` columns.
     """
     import numpy as np
 
@@ -246,7 +240,7 @@ def _canonical_keys(n: int, gray: int, blacks: np.ndarray) -> list[int]:
     step = max(1, _ORBIT_BLOCK // max(1, m))
     black = np.minimum.reduce(
         [
-            _least_images(blacks, np.int64(1) << table[perms[lo : lo + step]].T)
+            _least_images(blacks, table[:, perms[lo : lo + step]])
             for lo in range(0, perms.size, step)
         ]
     )
@@ -257,23 +251,24 @@ def _prefix_groups(n: int, gray: int) -> list[tuple[int, np.ndarray]]:
     """The screen's orbit steps for one gray set: (C(j,2), images) per prefix 0..j-1.
 
     G_j holds the automorphisms of the gray graph that fix vertices
-    j..n-1, read off the rows of the pair table that fix vertex n-1.  Each
-    maps the pairs inside the prefix onto themselves, and ``images[i, g]``
-    is 2^(g(i)) for each prefix pair i.  Steps run for 3 <= j < n, and only
-    where G_j is not trivial.
+    j..n-1: the automorphisms among the pair table's first (n-1)! columns,
+    the permutations that fix n-1, whose column index is below j!.  Each
+    maps the pairs inside the prefix onto themselves, so ``images`` is the
+    table's first C(j,2) rows at G_j's columns, ``images[i, g]`` = 2^(g(i)).
+    Steps run for 3 <= j < n, and only where G_j is not trivial.
     """
     import numpy as np
 
     if n < 4:  # no step; n = 0 has no vertex n-1 to fix
         return []
-    table, support = _last_fixed_perms(n)
-    autos = _mask_images(table, gray) == gray
+    table = _perm_pair_table(n)
+    autos = np.flatnonzero(_mask_images(table[:, : factorial(n - 1)], gray) == gray)
     steps = []
     for j in range(n - 1, 2, -1):  # G_j shrinks as j falls: stop at the first trivial one
-        group = table[autos & (support <= j), : pair_count(j)]
-        if len(group) == 1:
+        autos = autos[autos < factorial(j)]
+        if autos.size == 1:
             break
-        steps.append((pair_count(j), np.int64(1) << group.T))
+        steps.append((pair_count(j), table[: pair_count(j), autos]))
     return steps[::-1]
 
 

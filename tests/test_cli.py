@@ -88,6 +88,9 @@ def test_search_resource_cap_exit_code(capsys):
     code, out, err = run(capsys, "search", "--n", "9", "--pattern", "p4")
     assert code == 3
     assert "error:" in err
+    code, out, err = run(capsys, "search", "--n", "6", "--pattern", "p4", "--naive")
+    assert (code, out) == (3, "")
+    assert "error:" in err
 
 
 def test_enumerate_writes_loadable_files(capsys, tmp_path):
@@ -332,6 +335,17 @@ def test_non_utf8_file_is_one_line_error(capsys, tmp_path, bad):
     assert out == ""
     assert err == (f"error: {paths[bad]}: 'utf-8' codec can't decode byte 0xff in position 0: "
                    "invalid start byte\n")
+
+
+@pytest.mark.parametrize("flags", [["--kmax", "0"], ["--progress"]], ids=["kmax", "progress"])
+def test_search_naive_rejects_kmax_and_progress(capsys, flags):
+    """The naive sweep always runs every gray count and reports no levels."""
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "4", "--naive", *flags])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--naive takes neither --kmax nor --progress" in out.err
 
 
 def test_usage_error_exit_code(capsys):

@@ -3,6 +3,7 @@ import time
 from collections import defaultdict
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -66,13 +67,18 @@ def test_canonical_form_of_all_gray_is_itself():
 
 @pytest.mark.parametrize("n", range(9))
 def test_perm_pair_table_matches_double_loop(n):
-    perms = list(permutations(range(n)))
-    expected = [
-        [pair_index(p[u], p[v]) for u, v in map(index_pair, range(pair_count(n)))]
-        for p in perms
-    ]
+    """Column g holds 2^pair_index(g(u), g(v)) for each colex pair (u, v); the
+    columns are the lexicographic permutations conjugated by v -> n-1-v, so
+    for each j the first j! columns are exactly those fixing j..n-1."""
+    perms = [p[::-1] for p in permutations(range(n - 1, -1, -1))]
+    assert sorted(perms) == sorted(permutations(range(n)))
+    for j in range(n + 1):
+        fixers = [g for g in permutations(range(n)) if g[j:] == tuple(range(j, n))]
+        assert sorted(perms[: factorial(j)]) == sorted(fixers)
+    pairs = list(map(index_pair, range(pair_count(n))))
+    expected = [[1 << pair_index(g[u], g[v]) for g in perms] for u, v in pairs]
     table = _perm_pair_table(n)
-    assert table.shape == (len(perms), pair_count(n))
+    assert table.shape == (pair_count(n), factorial(n))
     assert table.dtype == np.int64
     assert table.tolist() == expected
 
@@ -294,26 +300,57 @@ def test_search_agrees_with_dnf_sweep_at_n6(h):
 
 # (min_gray, witness classes) at n = 6, 7 as the search gave them before the
 # screen's orbit steps; the n=8 bound is about six times P4's 0.5 s on a
-# 2-core x86 host with the n=8 permutation table still to build.
+# 2-core x86 host with the n=8 permutation table still to build.  Each
+# level's (k, gray_classes, saturated_rows, peak_rows, witness_classes) is
+# pinned as well: a wrong prefix group changes these counts before it
+# changes any answer.
+PIN_LEVELS = {
+    "p4-n7": [(0, 1, 0, 1964, 0), (1, 1, 0, 2272, 0), (2, 2, 0, 1092, 0), (3, 5, 12, 624, 8)],
+    "k3-n6": [
+        (0, 1, 0, 254, 0),
+        (1, 1, 0, 334, 0),
+        (2, 2, 0, 290, 0),
+        (3, 5, 0, 136, 0),
+        (4, 9, 0, 90, 0),
+        (5, 15, 1, 28, 1),
+    ],
+    "p4-n6": [(0, 1, 0, 520, 0), (1, 1, 0, 496, 0), (2, 2, 0, 188, 0), (3, 5, 29, 112, 11)],
+    "c4-n6": [(0, 1, 0, 784, 0), (1, 1, 0, 1352, 0), (2, 2, 0, 1308, 0), (3, 5, 1, 600, 1)],
+    "c4-n7": [(0, 1, 0, 4786, 0), (1, 1, 0, 12306, 0), (2, 2, 0, 13950, 0), (3, 5, 1, 13388, 1)],
+    "k3-n7": [
+        (0, 1, 0, 1092, 0),
+        (1, 1, 0, 2104, 0),
+        (2, 2, 0, 2068, 0),
+        (3, 5, 0, 1766, 0),
+        (4, 10, 0, 852, 0),
+        (5, 21, 0, 438, 0),
+        (6, 41, 1, 186, 1),
+    ],
+    "p4-n8": [(0, 1, 0, 6916, 0), (1, 1, 0, 9800, 0), (2, 2, 0, 5632, 0), (3, 5, 8, 3420, 2)],
+}
+
+
 @pytest.mark.parametrize(
-    "n, h, min_gray, classes, bound_s",
+    "n, h, min_gray, classes, bound_s, levels",
     [
-        (7, P4, 3, 8, 10.0),
-        (6, K3, 5, 1, 2.0),
-        (6, P4, 3, 11, 2.0),
-        (6, C4, 3, 1, 2.0),
-        (7, C4, 3, 1, 10.0),
-        (7, K3, 6, 1, 10.0),
-        (8, P4, 3, 2, 3.0),
+        (7, P4, 3, 8, 10.0, PIN_LEVELS["p4-n7"]),
+        (6, K3, 5, 1, 2.0, PIN_LEVELS["k3-n6"]),
+        (6, P4, 3, 11, 2.0, PIN_LEVELS["p4-n6"]),
+        (6, C4, 3, 1, 2.0, PIN_LEVELS["c4-n6"]),
+        (7, C4, 3, 1, 10.0, PIN_LEVELS["c4-n7"]),
+        (7, K3, 6, 1, 10.0, PIN_LEVELS["k3-n7"]),
+        (8, P4, 3, 2, 3.0, PIN_LEVELS["p4-n8"]),
     ],
     ids=["p4-n7", "k3-n6", "p4-n6", "c4-n6", "c4-n7", "k3-n7", "p4-n8"],
 )
-def test_search_pins(n, h, min_gray, classes, bound_s):
+def test_search_pins(n, h, min_gray, classes, bound_s, levels):
     start = time.perf_counter()
     res = isat_min(n, h)
     elapsed = time.perf_counter() - start
     assert (res.min_gray, len(res.witnesses)) == (min_gray, classes)
     assert elapsed < bound_s
+    fields = ("k", "gray_classes", "saturated_rows", "peak_rows", "witness_classes")
+    assert [tuple(level[f] for f in fields) for level in res.stats["levels"]] == levels
     for w in res.witnesses:
         assert is_indsat(w.to_trigraph(), h).is_indsat
 
@@ -339,6 +376,53 @@ def test_orbit_steps_keep_a_subset_with_every_class(h, case):
     assert set(reduced) <= set(full)
     keys = {canonical_key(Trigraph(n, black, gray)) for black in reduced}
     assert keys == {canonical_key(Trigraph(n, black, gray)) for black in full}
+
+
+def _prefix_group_images(n, gray):
+    """The oracle: for each j, the images 2^g(i) of the prefix pairs i under
+    the gray graph's automorphisms g that fix j..n-1, by a plain loop."""
+    edges = {(u, v) for u, v in all_pairs(n) if gray >> pair_index(u, v) & 1}
+    autos = [
+        g
+        for g in permutations(range(n))
+        if all((min(g[u], g[v]), max(g[u], g[v])) in edges for u, v in edges)
+    ]
+    return {
+        j: {
+            tuple(1 << pair_index(g[u], g[v]) for u, v in all_pairs(j))
+            for g in autos
+            if g[j:] == tuple(range(j, n))
+        }
+        for j in range(3, n)
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, pair_count(n) - 1), max_size=8))
+    )
+)
+@example((7, set()))  # every G_j is the whole of S_j
+@example((6, {0, 2, 5}))  # the path 0-1-2-3: G_5 and G_4 reverse it, G_3 is trivial
+@example((7, {i for i in range(21) if ASYMMETRIC_GRAY_N7 >> i & 1}))  # no step
+def test_prefix_groups_are_the_fixing_automorphisms(case):
+    """Each step of ``_prefix_groups`` holds, as columns, exactly the images of
+    the automorphisms fixing j..n-1, for j = n-1 down to the first trivial group."""
+    n, pairs = case
+    gray = sum(1 << i for i in pairs)
+    expected = _prefix_group_images(n, gray)
+    js = []
+    for j in range(n - 1, 2, -1):
+        if len(expected[j]) == 1:
+            break
+        js.append(j)
+    steps = _prefix_groups(n, gray)
+    assert [b for b, _ in steps] == [pair_count(j) for j in reversed(js)]
+    for (b, images), j in zip(steps, reversed(js)):
+        columns = [tuple(column) for column in images.T.tolist()]
+        assert len(columns) == len(expected[j])
+        assert set(columns) == expected[j]
 
 
 def test_naive_agrees_at_n4():
