@@ -156,6 +156,8 @@ def _cmd_encode(args) -> int:
 def _cmd_formula(args) -> int:
     started = time.perf_counter()
     family = parse_family(args.family)
+    if args.n < family.vertices:
+        raise ValueError(f"family {args.family} needs n >= {family.vertices}, got {args.n}")
     sat_value: int | str | None
     try:
         sat_value = sat_formula(family, args.n)

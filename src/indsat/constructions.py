@@ -131,7 +131,7 @@ _FAMILY_RE = re.compile(r"^(p|k)(\d+)$|^(ph|kh):(\d+)$|^khminus:(\d+)$|^c4$")
 
 
 def parse_family(name: str) -> Family:
-    """Family ids: p3, p4, p5, ph:<h>, k3, kh:<h>, c4, khminus:<h>."""
+    """Family ids: p3, p4, p5, ph:<h>, k3, kh:<h>, c4, khminus:<h>, with h >= 3."""
     s = name.strip().lower()
     m = _FAMILY_RE.match(s)
     if not m:
@@ -139,12 +139,14 @@ def parse_family(name: str) -> Family:
     if s == "c4":
         return Family("cycle4", 4)
     if m.group(5):
-        return Family("clique_minus_edge", int(m.group(5)))
-    if m.group(3):
-        kind = "path" if m.group(3) == "ph" else "clique"
-        return Family(kind, int(m.group(4)))
-    kind = "path" if m.group(1) == "p" else "clique"
-    return Family(kind, int(m.group(2)))
+        family = Family("clique_minus_edge", int(m.group(5)))
+    elif m.group(3):
+        family = Family("path" if m.group(3) == "ph" else "clique", int(m.group(4)))
+    else:
+        family = Family("path" if m.group(1) == "p" else "clique", int(m.group(2)))
+    if family.h < 3:
+        raise ValueError(f"family id {name!r} needs at least 3 vertices, got {family.h}")
+    return family
 
 
 def sat_formula(family: Family, n: int) -> int | None:

@@ -24,9 +24,7 @@ from .trigraph import (
     GRAY,
     WHITE,
     Trigraph,
-    _bits,
     all_pairs,
-    index_pair,
     pair_index,
 )
 
@@ -101,22 +99,15 @@ def has_realization_brute(t: Trigraph, h: PatternGraph) -> bool:
 
 
 def _compat_masks(t: Trigraph) -> tuple[list[int], list[int]]:
-    """Per-vertex masks: bg = black-or-gray neighbors, wg = white-or-gray."""
-    n = t.n
-    bg = [0] * n
-    wg = [0] * n
-    for i in _bits(t.black | t.gray):
-        u, v = index_pair(i)
-        bg[u] |= 1 << v
-        bg[v] |= 1 << u
-    full = (1 << n) - 1
-    for v in range(n):
-        wg[v] = full & ~(1 << v) & ~bg[v]
-    for i in _bits(t.gray):
-        u, v = index_pair(i)
-        wg[u] |= 1 << v
-        wg[v] |= 1 << u
-    return bg, wg
+    """Per-vertex masks: bg = black-or-gray neighbors, wg = white-or-gray.
+
+    bg and the gray rows are `Trigraph.adjacency` rows, read off the colex
+    pair masks; wg[v] is every other vertex outside bg[v], plus v's gray row.
+    """
+    bg = t.adjacency((BLACK, GRAY))
+    gray = t.adjacency((GRAY,))
+    full = (1 << t.n) - 1
+    return bg, [full ^ (1 << v) ^ row | gray[v] for v, row in enumerate(bg)]
 
 
 def _linked(rel: list[int], a_set: int, b_set: int) -> Optional[tuple[int, int]]:
@@ -165,31 +156,36 @@ def _find_p4(bg: list[int], wg: list[int], n: int) -> Optional[tuple[int, int, i
 
 
 def _find_p4_through(
-    bg: list[int], wg: list[int], n: int, x: int, y: int
+    bg: list[int], wg: list[int], n: int, x: int, y: int, edge: bool
 ) -> Optional[tuple[int, int, int, int]]:
-    """An induced-4-path injection (v1, v2, v3, v4) whose image contains x and y.
+    """An induced-4-path injection (v1, v2, v3, v4) through {x, y} in one role, or None.
 
-    Only sound as a full test when the caller knows the pair {x, y} is
-    usable in both roles (e.g. it was just recolored gray).  Each of the
-    six roles {x, y} can play leaves two path vertices to find, a in a
-    set A and b in a set B, joined by an edge (b in bg[a]) or a nonedge
-    (b in wg[a]); `_linked` answers each from the smaller of A and B.
+    With edge, {x, y} is the image of a path edge: the middle pair, then
+    an end and its neighbor.  Without, it is the image of a nonedge: the
+    two ends, then an end and the far middle vertex.  The kernel does not
+    test the pair's own bit, so it is sound only when the pair is usable
+    in that role (y in bg[x] for an edge, y in wg[x] for a nonedge).
+    Each of these roles leaves two path vertices to find, a in a set A
+    and b in a set B, joined by an edge (b in bg[a]) or a nonedge (b in
+    wg[a]); `_linked` answers each from the smaller of A and B.
     """
     bx, by, wx, wy = bg[x], bg[y], wg[x], wg[y]
-    # {x, y} as the middle pair, v2 = x, v3 = y: the ends are apart
-    found = _linked(wg, bx & wy, by & wx)
-    if found is not None:
-        return found[0], x, y, found[1]
+    if edge:
+        # {x, y} as the middle pair, v2 = x, v3 = y: the ends are apart
+        found = _linked(wg, bx & wy, by & wx)
+        if found is not None:
+            return found[0], x, y, found[1]
+        # {x, y} as an end and its neighbor, v1 = p, v2 = q: v3 joined to v4
+        for p, q in ((x, y), (y, x)):
+            found = _linked(bg, bg[q] & wg[p], wg[p] & wg[q])
+            if found is not None:
+                return p, q, found[0], found[1]
+        return None
     # {x, y} as the two ends, v1 = x, v4 = y (reversal covers the swap):
     # the middle vertices come from the same two sets and are joined
     found = _linked(bg, bx & wy, by & wx)
     if found is not None:
         return x, found[0], found[1], y
-    # {x, y} as an end and its neighbor, v1 = p, v2 = q: v3 joined to v4
-    for p, q in ((x, y), (y, x)):
-        found = _linked(bg, bg[q] & wg[p], wg[p] & wg[q])
-        if found is not None:
-            return p, q, found[0], found[1]
     # {x, y} as an end and the far middle, v1 = p, v3 = q: v2 apart from v4
     for p, q in ((x, y), (y, x)):
         found = _linked(wg, bg[p] & bg[q], bg[q] & wg[p])
@@ -228,7 +224,9 @@ class _Plan(NamedTuple):
 
     p4: Optional[itemgetter]  # path-order images -> h's labels, when h is a P4
     whole: tuple  # the unanchored search plan, for condition (a)
-    through: tuple  # one plan per Aut(h)-orbit of ordered pairs, that pair placed first
+    # one plan per Aut(h)-orbit of ordered pairs, that pair placed first:
+    # through[False] the orbits of nonedges, through[True] those of edges
+    through: tuple[tuple, tuple]
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +253,12 @@ def _plan(h: PatternGraph) -> _Plan:
         while len(path) < 4:
             path.append(next(v for v in range(4) if v not in path and h.has_edge(path[-1], v)))
         p4 = itemgetter(*(path.index(v) for v in range(4)))
-    return _Plan(p4, searched(()), tuple(searched(pair) for pair in anchor_pair_orbits(h)))
+    orbits = anchor_pair_orbits(h)
+    through = tuple(
+        tuple(searched(pair) for pair in orbits if h.has_edge(*pair) == edge)
+        for edge in (False, True)
+    )
+    return _Plan(p4, searched(()), through)
 
 
 def _find_generic(
@@ -320,21 +323,22 @@ def _find_injection(
 
 
 def _find_injection_through(
-    bg: list[int], wg: list[int], n: int, plan: _Plan, x: int, y: int
+    bg: list[int], wg: list[int], n: int, plan: _Plan, x: int, y: int, edge: bool
 ) -> Optional[tuple[int, ...]]:
-    """Injection whose image contains x and y (both pair roles allowed).
+    """Injection mapping a pattern edge (edge true) or nonedge onto {x, y}, or None.
 
     Works on the compatibility masks and the pattern's `_plan` alone, so a
     caller checking many flips fetches both once and, per flip, sets the
-    pair's two symmetric bits before the call and clears them after it.
-    The generic search anchors one ordered pattern pair per Aut(h)-orbit.
-    A P4 kernel's path needs four distinct vertices, so it finds none
-    when n < 4, as `_find_generic` does for any pattern larger than n.
+    pair's bit in the role's mask before the call and clears it after.
+    The generic search anchors one ordered pattern pair per Aut(h)-orbit
+    of that role's pairs, in the order of `anchor_pair_orbits`.  A P4
+    kernel's path needs four distinct vertices, so it finds none when
+    n < 4, as `_find_generic` does for any pattern larger than n.
     """
     if plan.p4 is not None:
-        found = _find_p4_through(bg, wg, n, x, y)
+        found = _find_p4_through(bg, wg, n, x, y, edge)
         return None if found is None else plan.p4(found)
-    for anchored in plan.through:
+    for anchored in plan.through[edge]:
         found = _find_generic(bg, wg, n, anchored, (x, y))
         if found is not None:
             return found

@@ -15,6 +15,15 @@ representative is also the first failing pair.  This is cheap isomorph
 rejection (McKay, "Isomorph-free exhaustive generation", J. Algorithms
 26 (1998)); the paper's constructions are built from twins, and it
 leaves 861 of the 1,994 flips of `construct_tn(64)` to search.
+
+Each flip is searched only in its new role.  Lemma: if T satisfies (a)
+and T' is T with a non-gray pair p recolored gray, every injection of
+H into T' through p maps a pattern nonedge onto p when p was black, and
+a pattern edge onto p when p was white.  Proof: T' differs from T only
+in that p is now also white-or-gray (p black) or also black-or-gray (p
+white).  An injection that maps a pattern edge onto a black p, or a
+nonedge onto a white p, uses p as T already colors it and every other
+pair unchanged, so it is an injection into T, which (a) rules out.
 """
 
 from __future__ import annotations
@@ -139,13 +148,17 @@ def flips_all_create(
     """Condition (b): every non-gray pair, once flipped, admits an induced h.
 
     Assumes condition (a) holds for t, which makes it sound to search
-    only injections through the flipped pair: any witness avoiding it
-    would already be a witness in t.  masks is t's (bg, wg) pair from
-    `detect._compat_masks`, built by the caller; the pattern's plan is
-    fetched once, and the masks are left as they were found.  Only the
-    representative of each flip orbit (see `flip_orbits`) is searched: its
-    flip sets the pair's two symmetric bits (in wg for a black pair, in bg
-    for a white one), searches, and clears them again.  With collect, the images
+    only injections through the flipped pair, and only with the pair in
+    its new role: any witness avoiding the pair, or mapping a pattern
+    edge onto a black pair or a nonedge onto a white one, would already
+    be a witness in t (the lemma in the module docstring).  So a black
+    pair is searched as a pattern nonedge and a white pair as an edge.
+    masks is t's (bg, wg) pair from `detect._compat_masks`, built by the
+    caller; the pattern's plan is fetched once, and the masks are left as
+    they were found.  Only the representative of each flip orbit (see
+    `flip_orbits`) is searched: its flip sets the pair's two symmetric
+    bits (in wg for a black pair, in bg for a white one), searches, and
+    clears them again.  With collect, the images
     found for a representative (u, v) are carried to each pair (x, y) of
     its orbit by the twin swaps (u x), then (v' y) with v' the image of v
     under the first swap; together they send u to x and v to y.
@@ -159,11 +172,13 @@ def flips_all_create(
     plan = detect._plan(h)
     failing = None
     for u, v, a, b in flip_orbits(bg, wg):
-        # the bit is clear before the flip, so xor sets it and then clears it
-        side = wg if bg[u] >> v & 1 else bg
+        # a black pair is searched as a pattern nonedge, a white one as an
+        # edge; its bit in that role's mask is clear, so xor sets and clears it
+        edge = not bg[u] >> v & 1
+        side = bg if edge else wg
         side[u] ^= 1 << v
         side[v] ^= 1 << u
-        images = _find_injection_through(bg, wg, t.n, plan, u, v)
+        images = _find_injection_through(bg, wg, t.n, plan, u, v, edge)
         side[u] ^= 1 << v
         side[v] ^= 1 << u
         searched += 1

@@ -196,15 +196,26 @@ class Trigraph:
     # -- components and cuts -------------------------------------------
 
     def adjacency(self, palette: Iterable[EdgeColor]) -> list[int]:
-        """Per-vertex neighbor bitmasks of the graph formed by the palette colors."""
+        """Per-vertex neighbor bitmasks of the graph formed by the palette colors.
+
+        In colex order vertex v's lower neighbors are the v pair bits from
+        C(v, 2) on, so each row is read off the pair mask with one mask and
+        shift, and one lowest-bit loop over it mirrors it to the rows of
+        those lower neighbors.
+        """
         mask = 0
         for c in set(palette):
             mask |= self.mask_of(c)
         adj = [0] * self.n
-        for i in _bits(mask):
-            u, v = index_pair(i)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        for v in range(self.n):
+            row = mask & ((1 << v) - 1)
+            mask >>= v
+            adj[v] = row
+            bit = 1 << v
+            while row:
+                low = row & -row
+                adj[low.bit_length() - 1] |= bit
+                row ^= low
         return adj
 
     def components(self, palette: Iterable[EdgeColor]) -> list[frozenset[int]]:

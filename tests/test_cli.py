@@ -155,6 +155,29 @@ def test_formula_rows(capsys):
     assert c4["result"]["sat"] == 12  # Ollmann: floor((3n - 5)/2)
     assert c4["result"]["isat"] == "unknown"
 
+    # valid (family, n) without a closed form stay "unknown"
+    _, c4, _ = run_json(capsys, "formula", "--family", "c4", "--n", "4")
+    assert c4["result"]["sat"] == c4["result"]["isat"] == "unknown"
+    _, p5, _ = run_json(capsys, "formula", "--family", "p5", "--n", "7")
+    assert (p5["result"]["sat"], p5["result"]["isat"]) == (6, "unknown")
+
+
+@pytest.mark.parametrize(
+    "family, n, message",
+    [
+        ("kh:0", "5", "family id 'kh:0' needs at least 3 vertices, got 0"),
+        ("ph:1", "5", "family id 'ph:1' needs at least 3 vertices, got 1"),
+        ("p2", "5", "family id 'p2' needs at least 3 vertices, got 2"),
+        ("khminus:2", "5", "family id 'khminus:2' needs at least 3 vertices, got 2"),
+        ("p4", "2", "family p4 needs n >= 4, got 2"),
+        ("kh:5", "4", "family kh:5 needs n >= 5, got 4"),
+        ("c4", "3", "family c4 needs n >= 4, got 3"),
+    ],
+)
+def test_formula_rejects_impossible_family_or_size(capsys, family, n, message):
+    code, out, err = run(capsys, "formula", "--family", family, "--n", n)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 def test_facts_subcommand(capsys):
     code, report, _ = run_json(capsys, "facts", "--n", "3")

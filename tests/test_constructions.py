@@ -153,6 +153,12 @@ def test_parse_family():
         parse_family("zz:9")
 
 
+@pytest.mark.parametrize("name", ["p2", "k0", "ph:1", "kh:0", "kh:2", "khminus:2"])
+def test_parse_family_rejects_fewer_than_3_vertices(name):
+    with pytest.raises(ValueError, match=f"family id '{name}' needs at least 3 vertices"):
+        parse_family(name)
+
+
 def test_sat_formula_values():
     assert sat_formula(parse_family("p3"), 7) == 3
     assert sat_formula(parse_family("p4"), 8) == 4

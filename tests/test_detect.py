@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indsat.detect import (
@@ -177,7 +177,9 @@ def test_generic_search_with_inconsistent_anchors_finds_nothing():
 
     t = from_pairs(4, black=[(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])  # (0, 1) white
     bg, wg = _compat_masks(t)
-    (anchored,) = _plan(K3).through  # Aut(K3) has one orbit of ordered pairs
+    # Aut(K3) has one orbit of ordered pairs, and it is an orbit of edges
+    nonedges, (anchored,) = _plan(K3).through
+    assert nonedges == ()
     assert anchored[0][:2] == (0, 1)
     # a triangle through the white pair: None, not a falsy non-None value
     assert _find_generic(bg, wg, 4, anchored, (0, 1)) is None
@@ -189,8 +191,12 @@ def test_search_plan_checks_every_earlier_depth():
 
     plan = _plan(P4)
     orbits = anchor_pair_orbits(P4)
-    assert len(plan.through) == len(orbits)
-    for first, (order, checks) in [((), plan.whole), *zip(orbits, plan.through)]:
+    # through[edge]: the orbits whose pair is an edge (True) or a nonedge, in orbit order
+    by_role = [[pair for pair in orbits if P4.has_edge(*pair) == edge] for edge in (False, True)]
+    assert [len(plans) for plans in plan.through] == [len(pairs) for pairs in by_role] == [3, 3]
+    anchored = [(pair, p) for edge in (False, True) for pair, p in zip(by_role[edge], plan.through[edge])]
+    assert len(anchored) == len(orbits)
+    for first, (order, checks) in [((), plan.whole), *anchored]:
         assert order[: len(first)] == first and sorted(order) == [0, 1, 2, 3]
         for d, v in enumerate(order):
             assert checks[d] == tuple((j, P4.has_edge(order[j], v)) for j in range(d))
@@ -219,3 +225,45 @@ def test_relabelled_path_witness_uses_the_pattern_labels():
     emb = find_embedding(t, relabelled)
     assert emb is not None and embedding_is_valid(t, relabelled, emb)
     assert emb.vertices in ((1, 0, 2, 3), (2, 3, 1, 0))
+
+
+def compat_masks_by_color(t):
+    """Reference for `_compat_masks`: one `t.color` call per ordered pair."""
+    bg = [0] * t.n
+    wg = [0] * t.n
+    for u in range(t.n):
+        for v in range(t.n):
+            if u != v:
+                color = t.color(u, v)
+                if color is not WHITE:
+                    bg[u] |= 1 << v
+                if color is not BLACK:
+                    wg[u] |= 1 << v
+    return bg, wg
+
+
+@st.composite
+def colored_masks(draw):
+    """(n, black, gray) for n in 0..64, black and gray disjoint pair masks."""
+    n = draw(st.integers(0, 64))
+    full = (1 << pair_count(n)) - 1
+    black = draw(st.integers(0, full))
+    gray = draw(st.integers(0, full)) & ~black
+    return n, black, gray
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_masks())
+@example((0, 0, 0))
+@example((1, 0, 0))
+@example((64, 0, (1 << pair_count(64)) - 1))
+@example((64, (1 << pair_count(64)) - 1, 0))
+@example((64, 0x5555 << 2000, 1 << 2015))
+def test_compat_masks_match_the_colors(case):
+    from indsat.detect import _compat_masks
+
+    t = Trigraph(*case)
+    bg, wg = compat_masks_by_color(t)
+    assert _compat_masks(t) == (bg, wg)
+    # the masks are `Trigraph.adjacency` rows, which every palette shares
+    assert t.adjacency((WHITE,)) == [w & ~b for b, w in zip(bg, wg)]

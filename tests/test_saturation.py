@@ -227,29 +227,78 @@ def test_five_vertex_patterns_match_oracle_sampled(case):
     assert_matches_oracle_with_witnesses(t, h)
 
 
+def recolored(t, x, y, color):
+    """t with the pair {x, y} recolored."""
+    bit = 1 << pair_index(x, y)
+    black = t.black & ~bit | (bit if color is BLACK else 0)
+    return Trigraph(t.n, black, t.gray & ~bit | (bit if color is GRAY else 0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(trigraphs(min_n=4, max_n=7), st.data())
 def test_p4_kernel_agrees_with_anchored_generic_search(t, data):
-    # the flip loop's state: the pair {x, y} usable both ways, as if just grayed
     x = data.draw(st.integers(0, t.n - 2))
     y = data.draw(st.integers(x + 1, t.n - 1))
     if data.draw(st.booleans()):
         x, y = y, x
-    bg, wg = indsat.detect._compat_masks(t)
-    for a, b in ((x, y), (y, x)):
-        bg[a] |= 1 << b
-        wg[a] |= 1 << b
-    path = indsat.detect._find_p4_through(bg, wg, t.n, x, y)
-    anchored = [
-        indsat.detect._find_generic(bg, wg, t.n, plan, (x, y))
-        for plan in indsat.detect._plan(P4).through
-    ]
-    assert (path is not None) == any(found is not None for found in anchored)
-    flipped = t if t.color(x, y) is GRAY else t.flip(x, y)
-    for images in [path] + anchored:
-        if images is not None:
-            emb = indsat.detect._embedding_from(flipped, P4, images)
-            assert embedding_is_valid(flipped, P4, emb) and {x, y} <= set(images)
+    plans = indsat.detect._plan(P4).through
+    for edge in (False, True):
+        # the pair usable in the searched role only: black for an edge, white for a nonedge
+        colored = recolored(t, x, y, BLACK if edge else WHITE)
+        bg, wg = indsat.detect._compat_masks(colored)
+        path = indsat.detect._find_p4_through(bg, wg, t.n, x, y, edge)
+        anchored = [indsat.detect._find_generic(bg, wg, t.n, plan, (x, y)) for plan in plans[edge]]
+        assert (path is not None) == any(found is not None for found in anchored)
+        for images in [path] + anchored:
+            if images is not None:
+                emb = indsat.detect._embedding_from(colored, P4, images)
+                assert embedding_is_valid(colored, P4, emb) and {x, y} <= set(images)
+                assert P4.has_edge(images.index(x), images.index(y)) == edge
+
+
+PAW = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+CLAW = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+
+
+@st.composite
+def free_pattern_and_trigraph(draw):
+    """(h, t), t on 4..7 vertices with no realization containing h: condition (a).
+
+    From all white, which holds no h (each pattern here has an edge), the
+    pairs are colored in a drawn order; each takes the first of its drawn
+    colors that keeps (a), or stays white.
+    """
+    h = draw(st.sampled_from((P4, K3, C4, PAW, CLAW)))
+    n = draw(st.integers(4, 7))
+    pairs = draw(st.permutations(list(all_pairs(n))))
+    t = Trigraph(n, 0, 0)
+    for x, y in pairs:
+        for color in draw(st.sampled_from(((), (GRAY,), (BLACK,), (GRAY, BLACK), (BLACK, GRAY)))):
+            colored = recolored(t, x, y, color)
+            if not has_realization_of(colored, h):
+                t = colored
+                break
+    return h, t
+
+
+@settings(max_examples=120, deadline=None)
+@given(free_pattern_and_trigraph())
+def test_flip_is_searched_only_in_its_new_role(case):
+    # under (a), a flip's witness never uses the flipped pair in its old color
+    h, t = case
+    assert not has_realization_of(t, h)
+    plan = indsat.detect._plan(h)
+    for x, y in all_pairs(t.n):
+        color = t.color(x, y)
+        if color is GRAY:
+            continue
+        bg, wg = indsat.detect._compat_masks(t.flip(x, y))
+        both = [
+            indsat.detect._find_generic(bg, wg, t.n, anchored, (x, y))
+            for anchored in plan.through[False] + plan.through[True]
+        ]
+        new = indsat.detect._find_injection_through(bg, wg, t.n, plan, x, y, color is WHITE)
+        assert (new is not None) == any(found is not None for found in both), (x, y)
 
 
 def gray_book(n):
@@ -423,9 +472,12 @@ def test_flip_loop_searches_one_pair_per_orbit(monkeypatch):
     calls = []
     real = indsat.saturation._find_injection_through
 
-    def counting(bg, wg, n, plan, x, y):
+    roles = []
+
+    def counting(bg, wg, n, plan, x, y, edge):
         calls.append((x, y))
-        return real(bg, wg, n, plan, x, y)
+        roles.append(edge)
+        return real(bg, wg, n, plan, x, y, edge)
 
     monkeypatch.setattr(indsat.saturation, "_find_injection_through", counting)
     rep = is_indsat(construct_tn(64)[0], P4)
@@ -436,6 +488,7 @@ def test_flip_loop_searches_one_pair_per_orbit(monkeypatch):
     assert rep.failing_flip == (0, 63)
     # the 1,891 leaf pairs in one search, then the failing pair
     assert calls == [(1, 2), (0, 63)]
+    assert roles[-2:] == [True, True]  # both pairs white, so searched as pattern edges
     assert (rep.flips_searched, rep.flip_pairs) == (2, 1892)
 
 
