@@ -50,4 +50,5 @@ print("== minimizing the number of unassigned variables ==")
 print("n=4:", min_unassigned(encode_pattern(4, P4)))
 print("n=5:", min_unassigned(encode_pattern(5, P4)))
 print("n=6:", min_unassigned(encode_pattern(6, P4)))
+print("n=7:", min_unassigned(encode_pattern(7, P4)))
 print("(all equal the minimum gray counts found by the trigraph search)")

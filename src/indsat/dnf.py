@@ -39,14 +39,16 @@ bit f clear and x | 2^f in C(F).  The saturated rows of F are the x in
 C(F) with x ^ 2^v outside C(F) for every assigned v, so the walk carries
 each row's neighbour mask nb_F(x), the v with x ^ 2^v in C(F), and a row
 is saturated exactly when its mask is 0.  The root masks on S come from
-one lookup per variable in a membership table of S; a child's rows and
-masks come from one ``np.searchsorted`` of x | 2^f in C(F), as
-nb_F(x) & nb_F(x | 2^f) less bit f.  Free sets are walked depth first,
-each C(F) derived from its prefix's; an empty C(F) prunes every
-superset.  An explicit 2^u completion sweep (``is_saturated_brute``) is
-kept as the independent oracle.  Only these kernels use numpy, and each
-imports it when called, so loading this module, ``is_saturated`` and the
-file reader do not.
+one lookup per variable in a membership table of S.  A child's rows are
+the x with bit f in nb_F(x) & ~x, and their partners x | 2^f are the
+rows y with bit f in nb_F(y) & y, in the same order, so its masks are
+nb_F(x) & nb_F(x | 2^f) less bit f, with no search.  One depth-first
+walk derives each C(F) once, from its prefix's; an empty C(F) prunes
+every superset, and after a free set with a saturated row the walk
+derives only smaller free sets.  An explicit 2^u completion sweep
+(``is_saturated_brute``) is kept as the independent oracle.  Only these
+kernels use numpy, and each imports it when called, so loading this
+module, ``is_saturated`` and the file reader do not.
 
 The minimization objective min_unassigned mirrors the trigraph
 minimum-gray objective; it is this artifact's framing, not a standard
@@ -419,42 +421,60 @@ def _covered(true: np.ndarray, clauses: GroupedClauses, assigned: int) -> np.nda
     return true[covered == assigned]
 
 
-def _cubes(s: np.ndarray, m: int, sizes: Sequence[int]):
-    """Yield (free_mask, C(F), nb) for each F of the m variables with C(F) nonempty.
+def _cubes(s: np.ndarray, m: int, cap: int):
+    """Yield (free_mask, C(F), nb) for free sets F of at most cap of the m variables.
 
     C(F) holds the assignments with F's bits clear whose every completion
     over F lies in the ascending array s: C({}) = s, and
     C(F + {f}) = {x in C(F) : bit f of x clear, x | 2^f in C(F)}.  nb holds
     each row's neighbour mask nb_F(x), the variables v with x ^ 2^v in C(F);
-    only assigned variables occur in it, since every row has F's bits clear.
-    The root masks come from one lookup per variable in a 2^m membership
-    table of s.  The rows of C(F + {f}) are those with bit f in
-    ``nb & ~x``, and their masks are nb_F(x) & nb_F(p) & ~2^f, with p the
-    row x | 2^f, found by one ``np.searchsorted``: x ^ 2^v is in
-    C(F + {f}) exactly when it and (x | 2^f) ^ 2^v are both in C(F).
+    only assigned variables occur in it, since every row has F's bits clear,
+    and x ^ 2^v is in C(F + {f}) exactly when it and (x | 2^f) ^ 2^v are
+    both in C(F).  The root masks come from one lookup per variable in a
+    2^m membership table of s.
 
-    Free sets come in the given sizes, each size walked depth first in
-    lexicographic order, each C(F) derived from that of its prefix; an
-    empty C(F) is also empty for every superset, so its subtree is
-    skipped.  Every C(F) stays ascending.
+    Partners without search: for f outside F, the rows of C(F + {f}) are
+    the x in C(F) with bit f in ``nb & ~x``, their partners x | 2^f are
+    the y in C(F) with bit f in ``nb & y``, and both selections list them
+    in the same order.  Proof: x -> x ^ 2^f maps the first set into the
+    second (x | 2^f is in C(F), has bit f set, and flipping f gives x,
+    which is in C(F)) and the second into the first in the same way, so it
+    is a bijection; on rows with bit f clear it adds 2^f, which is
+    increasing; and boolean selection keeps C(F) ascending.  So the k-th
+    selected x's partner is the k-th selected y, and a child's masks are
+    nb(x) & nb(y) & ~2^f.
+
+    One depth-first walk in lexicographic order: each F comes before its
+    extensions, and the extensions F + {f}, for f above F's highest
+    variable, go by ascending f.  Only the f that some row can add are
+    derived, so every yielded C(F) is nonempty; an empty one would be
+    empty for every superset.  After yielding a node with a saturated row
+    (a 0 in its masks), the walk derives only free sets smaller than that
+    node, so each yielded saturated node is smaller than the last.  Every
+    C(F) stays ascending, and each is derived once.
     """
     import numpy as np
 
-    def walk(free: int, cube: np.ndarray, nb: np.ndarray, start: int, left: int):
-        if not left:
-            yield free, cube, nb
-            return
-        up = nb & ~cube
-        # the f in start..m-left that some row can add, in ascending order
-        reach = int(np.bitwise_or.reduce(up)) >> start << start & ((1 << (m - left + 1)) - 1)
-        for f in _bits(reach):
-            bit = np.int64(1 << f)
-            rows = np.flatnonzero(up & bit)
-            child = cube[rows]
-            above = np.searchsorted(cube, child | bit)
-            yield from walk(free | (1 << f), child, nb[rows] & nb[above] & ~bit, f + 1, left - 1)
+    bound = cap + 1  # the walk derives only free sets of fewer variables
 
-    if not s.size:
+    def walk(free: int, cube: np.ndarray, nb: np.ndarray, start: int):
+        nonlocal bound
+        yield free, cube, nb
+        size = free.bit_count()
+        if not nb.all():
+            bound = size
+            return
+        if size + 1 >= bound:
+            return
+        up, down = nb & ~cube, nb & cube
+        for f in _bits(int(np.bitwise_or.reduce(up)) >> start << start):
+            if size + 1 >= bound:
+                return
+            bit = np.int64(1 << f)
+            rows, partners = (up & bit) != 0, (down & bit) != 0
+            yield from walk(free | (1 << f), cube[rows], nb[rows] & nb[partners] & ~bit, f + 1)
+
+    if not s.size or cap < 0:
         return
     # 2^m bytes, 2 MiB at MIN_UNASSIGNED_MAX_VARS; one searchsorted of s per
     # variable costs about 7x the time but no memory beyond s's size.
@@ -465,24 +485,25 @@ def _cubes(s: np.ndarray, m: int, sizes: Sequence[int]):
         bit = np.int64(1 << v)
         nb |= member[s ^ bit] * bit
     del member
-    for u in sizes:
-        yield from walk(0, s, nb, 0, u)
+    yield from walk(0, s, nb, 0)
 
 
 def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
     """Least unassigned count over saturated assignments; None if none up to cap.
 
     One screen (``_screen`` at free set {}) gives S, the ascending
-    true-masks of the full assignments that satisfy no clause.  Free sets
-    are then taken in ascending size and decided by array lookups on S:
-    ``_cubes`` derives C(F), the rows whose completions over F all lie in
-    S, and their neighbour masks from those of F's prefix.  The saturated
+    true-masks of the full assignments that satisfy no clause.  One
+    depth-first walk (``_cubes``) then derives, for free sets of at most
+    cap variables, C(F), the rows whose completions over F all lie in S,
+    and their neighbour masks from those of F's prefix.  The saturated
     rows of F are those of C(F) that leave C(F) when any one assigned
     variable is flipped, the rows whose mask is 0, so F has one exactly
     when ``nb.all()`` fails.  These agree with ``is_saturated`` row by row.
-    No symmetry reduction: generic formulas carry no vertex-permutation
-    group to exploit.  On a 2-core x86 host, P4 takes ~0.01 s at n=6 and
-    ~0.1 s at n=7, K3 ~2 s and C4 ~2 s at n=7.
+    Each saturated free set the walk yields is smaller than the last, so
+    the answer is the size of the last one.  No symmetry reduction:
+    generic formulas carry no vertex-permutation group to exploit.  On a
+    2-core x86 host, P4 takes ~0.0045 s at n=6 and ~0.08 s at n=7, K3
+    ~0.6 s and C4 ~0.6 s at n=7.
     """
     if f.m > MIN_UNASSIGNED_MAX_VARS:
         raise ResourceLimitError(
@@ -491,10 +512,11 @@ def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
     if cap is None:
         cap = f.m
     s = _screen(_clause_arrays(f), (1 << f.m) - 1)[0]
-    for free, _, nb in _cubes(s, f.m, range(min(cap, f.m) + 1)):
+    least = None
+    for free, _, nb in _cubes(s, f.m, cap):
         if not nb.all():
-            return free.bit_count()
-    return None
+            least = free.bit_count()
+    return least
 
 
 # -- text format --------------------------------------------------------

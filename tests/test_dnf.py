@@ -2,6 +2,7 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,10 +224,9 @@ def test_kernel_matches_scalar_check_on_split_blocks_at_n6(h, min_gray):
     assert saturated  # the minimum-gray level has saturated rows
 
 
-@settings(max_examples=40, deadline=None)
-@given(formulas(6))
-def test_min_unassigned_matches_brute_minimum(f):
-    brute = min(
+def _brute_minimum(f):
+    """The least unassigned count of a saturated assignment, by brute force over all 3^m."""
+    return min(
         (
             a.unassigned_count
             for digits in product("10-", repeat=f.m)
@@ -234,16 +234,27 @@ def test_min_unassigned_matches_brute_minimum(f):
         ),
         default=None,
     )
-    assert dnf.min_unassigned(f) == brute
+
+
+@settings(max_examples=80, deadline=None)
+@given(formulas(6), st.none() | st.integers(-1, 7))
+def test_min_unassigned_matches_brute_minimum(f, cap):
+    """With no cap the brute minimum; with one, None unless it is at most cap."""
+    brute = _brute_minimum(f)
+    if cap is not None and brute is not None and brute > cap:
+        brute = None
+    assert dnf.min_unassigned(f, cap) == brute
+
+
+def _walk(f, cap=None):
+    """The (free, C(F), nb) triples ``_cubes`` yields for f, from the screen at {}."""
+    s = dnf._screen(dnf._clause_arrays(f), (1 << f.m) - 1)[0]
+    return list(dnf._cubes(s, f.m, f.m if cap is None else cap))
 
 
 def _sweep_rows(f):
-    """Saturated rows of every free set the sweep reaches, keyed by free mask."""
-    s = dnf._screen(dnf._clause_arrays(f), (1 << f.m) - 1)[0]
-    return {
-        free: cube[nb == 0].tolist()
-        for free, cube, nb in dnf._cubes(s, f.m, range(f.m + 1))
-    }
+    """Saturated rows of every free set the walk yields, keyed by free mask."""
+    return {free: cube[nb == 0].tolist() for free, cube, nb in _walk(f)}
 
 
 def _saturated_in_cube(cube, assigned):
@@ -257,13 +268,38 @@ def _saturated_in_cube(cube, assigned):
     return [x for x in cube if all(x ^ flip not in rows for flip in flips)]
 
 
+def _bounded_dfs(cubes, m, cap, saturated):
+    """Reference order of the walk over the nonempty C(F) in ``cubes``.
+
+    Depth first from {}: each free set, then its extensions by each higher
+    variable in ascending order.  Only sets of at most cap variables are
+    visited, and after a set with a saturated row only sets smaller than it.
+    """
+    order, bound = [], cap + 1
+
+    def visit(free, start):
+        nonlocal bound
+        order.append(free)
+        if saturated(free):
+            bound = free.bit_count()
+            return
+        for v in range(start, m):
+            child = free | 1 << v
+            if child in cubes and child.bit_count() < bound:
+                visit(child, v + 1)
+
+    if 0 in cubes and cap >= 0:
+        visit(0, 0)
+    return order
+
+
 @settings(max_examples=100, deadline=None)
-@given(formulas(7))
-def test_walk_carries_the_neighbour_masks_of_each_cube(f):
-    """Every free set with a nonempty C(F) is reached, in ascending size and
-    lexicographic order within a size; each yielded C(F) equals its
-    definition over S, each carried mask equals direct membership in C(F),
-    and the rows with an empty mask are those of the reference rule."""
+@given(formulas(7), st.integers(-1, 8))
+def test_walk_carries_the_neighbour_masks_of_each_cube(f, cap):
+    """The walk yields the free sets of the reference bounded depth-first
+    order; each yielded C(F) equals its definition over S, each carried mask
+    equals direct membership in C(F), and the rows with an empty mask are
+    those of the reference rule."""
     full = (1 << f.m) - 1
     s = dnf._screen(dnf._clause_arrays(f), full)[0]
     rows_s = s.tolist()
@@ -274,8 +310,10 @@ def test_walk_carries_the_neighbour_masks_of_each_cube(f):
         cube = [x for x in rows_s if x & free == 0 and all(x | sub in in_s for sub in subsets)]
         if cube:
             cubes[free] = cube
-    walked = list(dnf._cubes(s, f.m, range(f.m + 1)))
-    order = sorted(cubes, key=lambda free: (free.bit_count(), [v for v in range(f.m) if free >> v & 1]))
+    walked = _walk(f, cap)
+    order = _bounded_dfs(
+        cubes, f.m, cap, lambda free: bool(_saturated_in_cube(cubes[free], full & ~free))
+    )
     assert [free for free, _, _ in walked] == order
     for free, cube, nb in walked:
         assert cube.tolist() == cubes[free], free
@@ -288,24 +326,66 @@ def test_walk_carries_the_neighbour_masks_of_each_cube(f):
 @settings(max_examples=100, deadline=None)
 @given(formulas(7))
 def test_sweep_matches_kernel_and_brute_checks(f):
+    """Every free set the walk yields agrees row by row with the kernel and
+    with brute force.  Every free set it skips has an empty C(F), so each
+    assignment of its assigned variables has a satisfying completion, or
+    is no smaller than the brute minimum."""
     swept = _sweep_rows(f)
-    for free in range(1 << f.m):
-        got = swept.get(free, [])  # a pruned free set has no rows
-        assert got == dnf._saturated_true_masks(f, free).tolist()
-        brute = [a.true_mask for a in _assignments(f.m, free) if dnf.is_saturated_brute(f, a)]
-        assert got == brute
+    brute = {
+        free: [a.true_mask for a in _assignments(f.m, free) if dnf.is_saturated_brute(f, a)]
+        for free in range(1 << f.m)
+    }
+    answer = min((free.bit_count() for free, rows in brute.items() if rows), default=f.m + 1)
+    for free, rows in brute.items():
+        if free in swept:
+            assert swept[free] == dnf._saturated_true_masks(f, free).tolist() == rows
+        else:
+            assert free.bit_count() >= answer or all(
+                dnf.satisfiable_completion_exists_brute(f, a) for a in _assignments(f.m, free)
+            ), free
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(7))
+def test_partner_masks_match_the_searchsorted_derivation(f):
+    """Each yielded child has the rows and masks of the derivation that
+    located each partner x | 2^f in its parent's C(F) by ``np.searchsorted``:
+    the rows x with bit f in nb & ~x, with masks nb(x) & nb(x | 2^f) & ~2^f,
+    where f is the child's highest free variable."""
+    walked = {free: (cube, nb) for free, cube, nb in _walk(f)}
+    for free, (cube, nb) in walked.items():
+        if not free:
+            continue
+        bit = np.int64(1 << (free.bit_length() - 1))
+        parent_cube, parent_nb = walked[free & ~int(bit)]
+        rows = np.flatnonzero(parent_nb & ~parent_cube & bit)
+        child = parent_cube[rows]
+        above = np.searchsorted(parent_cube, child | bit)
+        assert (parent_cube[above] == child | bit).all(), free
+        assert cube.tolist() == child.tolist(), free
+        assert nb.tolist() == (parent_nb[rows] & parent_nb[above] & ~bit).tolist(), free
 
 
 def test_sweep_first_saturated_set_follows_a_pruned_subtree():
     f = dnf.DnfFormula(4, ((0b0010, 0),))  # the clause "x2" over four variables
     s = dnf._screen(dnf._clause_arrays(f), 0b1111)[0]
     assert s.tolist() == [0b0000, 0b0001, 0b0100, 0b0101, 0b1000, 0b1001, 0b1100, 0b1101]
-    # C({0, 1}) is empty, so {0, 1, 2} and {0, 1, 3} are never reached; {0, 2, 3} is
-    assert [free for free, _, _ in dnf._cubes(s, 4, [2])] == [0b0101, 0b1001, 0b1100]
-    assert [(free, cube.tolist(), nb.tolist()) for free, cube, nb in dnf._cubes(s, 4, [3])] == [
+    # C({0, 1}) is empty: no row can add variable 1, so no superset of {0, 1}
+    # is reached.  {0, 2, 3} is, and once it is saturated only sets of at
+    # most two variables follow.
+    assert dnf._screen(dnf._clause_arrays(f), 0b1100)[0].size == 0
+    walked = list(dnf._cubes(s, 4, 4))
+    assert [free for free, _, _ in walked] == [
+        0b0000, 0b0001, 0b0101, 0b1101, 0b1001, 0b0100, 0b1100, 0b1000
+    ]
+    assert [(free, cube.tolist(), nb.tolist()) for free, cube, nb in walked[3:4]] == [
         (0b1101, [0], [0])
     ]
+    assert [free for free, _, _ in dnf._cubes(s, 4, 2)] == [
+        0b0000, 0b0001, 0b0101, 0b1001, 0b0100, 0b1100, 0b1000
+    ]
     assert dnf.min_unassigned(f) == 3
+    assert dnf.min_unassigned(f, 2) is None
 
 
 def test_kernel_fixed_cases():
@@ -327,9 +407,10 @@ def test_min_unassigned_reaches_n6_and_n7():
     start = time.perf_counter()
     assert dnf.min_unassigned(p4_n7) == 3
     assert time.perf_counter() - start < 5.0  # about 0.1 s on a 2-core x86 host
-    # about 2 s on a 2-core x86 host
+    # about 0.6 s each on a 2-core x86 host
     k3_n7 = dnf.min_unassigned(dnf.encode_pattern(7, K3))
     assert k3_n7 == 6 == isat_formula(parse_family("k3"), 7) == isat_min(7, K3).min_gray
+    assert dnf.min_unassigned(dnf.encode_pattern(7, C4)) == 3 == isat_min(7, C4).min_gray
 
 
 def test_resource_caps():

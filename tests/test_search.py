@@ -293,7 +293,33 @@ def test_search_agrees_with_dnf_sweep_and_cross_check_route(h):
             assert is_indsat(w.to_trigraph(), h).is_indsat
 
 
-@pytest.mark.parametrize("h", [P4, C4, K3], ids=["p4", "c4", "k3"])
+# One graph per isomorphism class on 4 vertices, by name.
+GRAPHS_ON_4 = {
+    "4k1": [],
+    "k2+2k1": [(0, 1)],
+    "2k2": [(0, 1), (2, 3)],
+    "p3+k1": [(0, 1), (1, 2)],
+    "k3+k1": [(0, 1), (1, 2), (0, 2)],
+    "p4": [(0, 1), (1, 2), (2, 3)],
+    "claw": [(0, 1), (0, 2), (0, 3)],
+    "paw": [(0, 1), (1, 2), (0, 2), (2, 3)],
+    "c4": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    "diamond": [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
+    "k4": [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)],
+}
+
+
+def test_named_graphs_on_4_are_one_per_class():
+    keys = [canonical_key(Trigraph(4, from_edges(4, e).edges)) for e in GRAPHS_ON_4.values()]
+    assert sorted(keys) == sorted(
+        canonical_key(Trigraph(4, g.edges)) for g in _graphs_up_to_isomorphism(4)
+    )
+
+
+@pytest.mark.parametrize(
+    "h", [from_edges(4, edges) for edges in GRAPHS_ON_4.values()] + [K3],
+    ids=list(GRAPHS_ON_4) + ["k3"],
+)
 def test_search_agrees_with_dnf_sweep_at_n6(h):
     assert isat_min(6, h).min_gray == min_unassigned(encode_pattern(6, h))
 
