@@ -154,14 +154,27 @@ def sat_formula(family: Family, n: int) -> int | None:
     form is known; None where only bounds are known (clique minus an edge,
     and long paths below their threshold).
 
-    The 4-cycle value is Ollmann's floor((3n - 5)/2) for n >= 5 (L. T.
-    Ollmann, "K_{2,2}-saturated graphs with a minimal number of edges",
-    Proc. 3rd Southeastern Conference on Combinatorics, Graph Theory and
-    Computing, 1972).  For a path on h >= 6 vertices, Kaszonyi and Tuza
-    ("Saturated graphs with minimal number of edges", J. Graph Theory 10,
-    1986) prove sat(n, P_h) = n - floor(n / a_h) for n >= a_h, where
-    a_h = 3 * 2^(j-1) - 1 if h = 2j and a_h = 2^(j+1) - 2 if h = 2j + 1;
-    below a_h the value is None (P6 at n=8 has sat 7, the formula 8)."""
+    Each branch, with its source and the range it is proved for:
+
+    - P3, floor(n/2) for n >= 3; P4, n/2 for even n and (n + 3)/2 for odd
+      n, for n >= 4; P5, n - floor((n + 4)/6) for n >= 5: Kaszonyi and
+      Tuza, "Saturated graphs with minimal number of edges", J. Graph
+      Theory 10 (1986).
+    - P_h for h >= 6, n - floor(n / a_h) for n >= a_h, with
+      a_h = 3 * 2^(j-1) - 1 if h = 2j and a_h = 2^(j+1) - 2 if h = 2j + 1
+      (the same paper); below a_h the value is None (P6 at n=8 has sat
+      7, the formula 8).
+    - K_h, (h - 2)n - C(h - 1, 2) for n >= h: Erdos, Hajnal and Moon, "A
+      problem in graph theory", Amer. Math. Monthly 71 (1964).
+    - C4, Ollmann's floor((3n - 5)/2) for n >= 5 (L. T. Ollmann,
+      "K_{2,2}-saturated graphs with a minimal number of edges", Proc. 3rd
+      Southeastern Conference on Combinatorics, Graph Theory and
+      Computing, 1972).
+    - K_h minus an edge: None, only the floor(n/2) lower bound is known.
+
+    The tests also check every value-returning branch for P3, P4, P5, K3,
+    K4 and C4 against an exhaustive search up to n=8 (K4 to n=7).
+    """
     kind, h = family.kind, family.h
     if kind == "path":
         if h < 3:

@@ -7,6 +7,27 @@ black-or-gray pairs and pattern nonedges to white-or-gray pairs.  The
 fast detectors search for such injections directly; the brute-force
 oracle enumerates all 2^|gray| realizations and scans subsets, and is
 kept deliberately independent of the injection search.
+
+Two vertices are twins when every other vertex sees both in the same
+color, and every search is pruned by the twin classes (isomorph
+rejection, McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26 (1998)).  Lemma: let c and c' be twins of T that no placed image
+uses.  Swapping c and c' is an automorphism of T that fixes every image
+placed so far.  It is also an automorphism of a T' that differs from T
+in one pair {u, v} when u and v are both placed (anchored): twins
+outside {u, v} stay twins in T'.  So the subtree of the search under c'
+is the swap image of the subtree under c, and holds an injection
+exactly when that one does.  The unused members of a class pass every
+check of a depth together or not at all, so the generic search takes
+one candidate per class at each depth: once the lowest candidate v has
+failed, v's whole class leaves that depth's candidates.  The P4 kernel
+tries one middle pair per twin orbit of black-or-gray pairs, the
+colex-least pair of each, in colex order.  First result unchanged: a
+branch is pruned only after its class-mate's subtree has failed, and
+twin swaps carry a P4 through one pair of an orbit to every other, so
+the first colex middle pair with a P4 is the least pair of its orbit.
+Every search therefore returns exactly the injection that the unpruned
+search returns.
 """
 
 from __future__ import annotations
@@ -24,6 +45,7 @@ from .trigraph import (
     GRAY,
     WHITE,
     Trigraph,
+    _bits,
     all_pairs,
     pair_index,
 )
@@ -110,6 +132,64 @@ def _compat_masks(t: Trigraph) -> tuple[list[int], list[int]]:
     return bg, [full ^ (1 << v) ^ row | gray[v] for v, row in enumerate(bg)]
 
 
+def _twin_masks(bg: list[int], wg: list[int]) -> list[int]:
+    """twins[v]: the vertices of v's twin class, as a mask, from t's compatibility masks.
+
+    Twinship is an equivalence relation, and all pairs inside a class
+    have one color.  Twins u, v joined in color c have equal black, white
+    and gray rows once each vertex's own bit is added to its row of color
+    c, so one pass per color groups the vertices by those rows (read off
+    bg and wg: a gray pair is in both).  Each vertex is keyed by one int,
+    bg[v] << n | wg[v], with its own bit ORed into the bg half, the wg
+    half or both.
+    """
+    n = len(bg)
+    rows = [b << n | w for b, w in zip(bg, wg)]
+    head = list(range(n))
+    twins = [1 << v for v in head]
+    for own in ((1 << n) | 1, 1 << n, 1):  # gray, black, white inside
+        first: dict[int, int] = {}
+        for v, row in enumerate(rows):
+            u = first.setdefault(row | own << v, v)
+            if u != v:
+                head[v] = u
+                twins[u] |= twins[v]
+    return [twins[u] for u in head]
+
+
+def twin_classes(bg: list[int], wg: list[int]) -> list[tuple[int, ...]]:
+    """The twin classes of a trigraph given by its compatibility masks.
+
+    Read off `_twin_masks`: classes are sorted, and listed by least vertex.
+    """
+    return [tuple(_bits(m)) for v, m in enumerate(_twin_masks(bg, wg)) if m & -m == 1 << v]
+
+
+def _orbit_pairs(twins: list[int], rows: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(u, v, A, B) for each twin orbit of pairs with v in rows[u], in colex order of (u, v).
+
+    twins are `_twin_masks`, and rows is symmetric and closed under twin
+    swaps (bg, or the non-gray rows bg ^ wg).  The orbit of the pairs
+    between two twin classes A and B is A x B, with least pair (min A,
+    min B); that of the pairs inside a class A (then B is A) is every
+    pair of A, with least pair its two least vertices.  So each class
+    head v pairs with the earlier heads in rows[v], and the second vertex
+    of a class with its head; (u, v) is that least pair, and A and B are
+    the classes' masks.  Each head's row is read once.
+    """
+    heads: list[int] = []
+    for v, mask in enumerate(twins):
+        below = mask & ((1 << v) - 1)
+        if not below:
+            row = rows[v]
+            for u in heads:
+                if row >> u & 1:
+                    yield u, v, twins[u], mask
+            heads.append(v)
+        elif not below & (below - 1) and rows[v] & below:
+            yield below.bit_length() - 1, v, mask, mask
+
+
 def _linked(rel: list[int], a_set: int, b_set: int) -> Optional[tuple[int, int]]:
     """Some (a, b) with a in a_set, b in b_set and b in rel[a], or None.
 
@@ -135,23 +215,19 @@ def _linked(rel: list[int], a_set: int, b_set: int) -> Optional[tuple[int, int]]
     return None
 
 
-def _find_p4(bg: list[int], wg: list[int], n: int) -> Optional[tuple[int, int, int, int]]:
+def _find_p4(bg: list[int], wg: list[int], twins: list[int]) -> Optional[tuple[int, int, int, int]]:
     """An injection realizing an induced 4-path (v1, v2, v3, v4), or None.
 
-    Enumerates the middle pair (v2 < v3) over black/gray pairs; reversal
+    Tries the middle pair (v2 < v3) over the black/gray pairs, one per
+    twin orbit (`_orbit_pairs`, twins from `_twin_masks`); reversal
     symmetry makes one orientation per middle pair sufficient.  The ends
     are a v1 in bg[v2] & wg[v3] and a v4 in bg[v3] & wg[v2] with v4 in
     wg[v1], found by `_linked` from the smaller side.
     """
-    for v3 in range(n):
-        below = bg[v3] & ((1 << v3) - 1)
-        while below:
-            low = below & -below
-            v2 = low.bit_length() - 1
-            ends = _linked(wg, bg[v2] & wg[v3], bg[v3] & wg[v2])
-            if ends is not None:
-                return ends[0], v2, v3, ends[1]
-            below ^= low
+    for v2, v3, _, _ in _orbit_pairs(twins, bg):
+        ends = _linked(wg, bg[v2] & wg[v3], bg[v3] & wg[v2])
+        if ends is not None:
+            return ends[0], v2, v3, ends[1]
     return None
 
 
@@ -262,7 +338,12 @@ def _plan(h: PatternGraph) -> _Plan:
 
 
 def _find_generic(
-    bg: list[int], wg: list[int], n: int, plan: tuple, anchors: tuple[int, ...] = ()
+    bg: list[int],
+    wg: list[int],
+    n: int,
+    plan: tuple,
+    anchors: tuple[int, ...] = (),
+    twins: Optional[list[int]] = None,
 ) -> Optional[tuple[int, ...]]:
     """Depth-first injection search for arbitrary patterns (k <= 8), or None.
 
@@ -272,13 +353,19 @@ def _find_generic(
     Since neither bg[v] nor wg[v] contains v and every earlier depth is
     checked, the candidates exclude the images already used.  The stacks
     hold the image and the untried candidates of each depth; a candidate
-    is taken as the lowest set bit.  Returns the images indexed by
+    is taken as the lowest set bit, and once taken its whole twin class
+    leaves that depth's untried candidates (the lemma in the module
+    docstring).  twins are the `_twin_masks` of these masks, or of the
+    trigraph they differ from in the pair of the first two anchors; by
+    default they are found from bg and wg.  Returns the images indexed by
     pattern vertex.
     """
     order, checks = plan
     k = len(order)
     if k > n:
         return None
+    if twins is None:
+        twins = _twin_masks(bg, wg)
     images = [0] * k  # by depth, not by pattern vertex
     for depth, img in enumerate(anchors):
         for j, is_edge in checks[depth]:
@@ -298,9 +385,9 @@ def _find_generic(
             if depth < base:
                 return None
             cand = cands[depth]
-        low = cand & -cand
-        cands[depth] = cand ^ low
-        images[depth] = low.bit_length() - 1
+        v = (cand & -cand).bit_length() - 1
+        cands[depth] = cand & ~twins[v]
+        images[depth] = v
         depth += 1
     found = [0] * k
     for depth, v in enumerate(order):
@@ -309,21 +396,37 @@ def _find_generic(
 
 
 def _find_injection(
-    t: Trigraph, h: PatternGraph, masks: Optional[tuple[list[int], list[int]]] = None
+    t: Trigraph,
+    h: PatternGraph,
+    masks: Optional[tuple[list[int], list[int]]] = None,
+    twins: Optional[list[int]] = None,
 ) -> Optional[tuple[int, ...]]:
-    """Injection of h into some realization of t; masks are t's `_compat_masks`, if built."""
+    """Injection of h into some realization of t, or None.
+
+    masks are t's `_compat_masks` and twins their `_twin_masks`, each
+    built here when not given.
+    """
     if h.k > t.n:
         return None
     bg, wg = _compat_masks(t) if masks is None else masks
+    if twins is None:
+        twins = _twin_masks(bg, wg)
     plan = _plan(h)
     if plan.p4 is not None:
-        found = _find_p4(bg, wg, t.n)
+        found = _find_p4(bg, wg, twins)
         return None if found is None else plan.p4(found)
-    return _find_generic(bg, wg, t.n, plan.whole)
+    return _find_generic(bg, wg, t.n, plan.whole, (), twins)
 
 
 def _find_injection_through(
-    bg: list[int], wg: list[int], n: int, plan: _Plan, x: int, y: int, edge: bool
+    bg: list[int],
+    wg: list[int],
+    n: int,
+    plan: _Plan,
+    x: int,
+    y: int,
+    edge: bool,
+    twins: Optional[list[int]] = None,
 ) -> Optional[tuple[int, ...]]:
     """Injection mapping a pattern edge (edge true) or nonedge onto {x, y}, or None.
 
@@ -331,15 +434,17 @@ def _find_injection_through(
     caller checking many flips fetches both once and, per flip, sets the
     pair's bit in the role's mask before the call and clears it after.
     The generic search anchors one ordered pattern pair per Aut(h)-orbit
-    of that role's pairs, in the order of `anchor_pair_orbits`.  A P4
-    kernel's path needs four distinct vertices, so it finds none when
+    of that role's pairs, in the order of `anchor_pair_orbits`, and is
+    pruned by twins, passed on to `_find_generic`: the `_twin_masks` of
+    the trigraph before the flip (sound since x and y are anchored).  A
+    P4 kernel's path needs four distinct vertices, so it finds none when
     n < 4, as `_find_generic` does for any pattern larger than n.
     """
     if plan.p4 is not None:
         found = _find_p4_through(bg, wg, n, x, y, edge)
         return None if found is None else plan.p4(found)
     for anchored in plan.through[edge]:
-        found = _find_generic(bg, wg, n, anchored, (x, y))
+        found = _find_generic(bg, wg, n, anchored, (x, y), twins)
         if found is not None:
             return found
     return None

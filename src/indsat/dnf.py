@@ -503,7 +503,11 @@ def min_unassigned(f: DnfFormula, cap: int | None = None) -> int | None:
     the answer is the size of the last one.  No symmetry reduction:
     generic formulas carry no vertex-permutation group to exploit.  On a
     2-core x86 host, P4 takes ~0.0045 s at n=6 and ~0.08 s at n=7, K3
-    ~0.6 s and C4 ~0.6 s at n=7.
+    ~0.6 s and C4 ~0.6 s at n=7.  The cost is set by the answer: to show
+    that no smaller free set is saturated, the walk must derive every
+    nonempty C(F) with fewer free variables than the answer.  K4 and 4K1
+    at n=7, whose answer is 11, take about 44-57 s on the same host,
+    against about 0.85 s for ``search.isat_min(7, K4)``.
     """
     if f.m > MIN_UNASSIGNED_MAX_VARS:
         raise ResourceLimitError(

@@ -16,6 +16,20 @@ rejection (McKay, "Isomorph-free exhaustive generation", J. Algorithms
 26 (1998)); the paper's constructions are built from twins, and it
 leaves 861 of the 1,994 flips of `construct_tn(64)` to search.
 
+The twin classes are found once per check, from the compatibility
+masks, and they also prune every injection search of the check,
+condition (a)'s and each flip's.  Lemma: if c and c' are twins of T that
+no placed image uses, swapping them is an automorphism of T that fixes
+every placed image; it is one of the flipped T' too once both ends of
+the flipped pair are placed, as they are from the first two depths of a
+flip's search, since twins outside that pair stay twins.  So the
+subtree under c' mirrors the one under c, and each depth tries one
+vertex per class (and condition (a)'s P4 kernel one middle pair per
+twin orbit; see `detect`).  First result unchanged: a branch is pruned
+only after its class-mate's subtree has failed, so every search returns
+the injection an unpruned search returns, and the report, the failing
+flip and every witness are those of the unpruned check.
+
 Each flip is searched only in its new role.  Lemma: if T satisfies (a)
 and T' is T with a non-gray pair p recolored gray, every injection of
 H into T' through p maps a pattern nonedge onto p when p was black, and
@@ -39,9 +53,11 @@ from .detect import (
     _embedding_from,
     _find_injection,
     _find_injection_through,
+    _orbit_pairs,
+    twin_classes,  # noqa: F401  re-exported: the twin classes' public name
 )
 from .patterns import PatternGraph
-from .trigraph import BLACK, GRAY, WHITE, EdgeColor, Trigraph, pair_count, pair_index
+from .trigraph import BLACK, GRAY, WHITE, EdgeColor, Trigraph, _bits, pair_count, pair_index
 
 
 @dataclass
@@ -77,54 +93,20 @@ class SaturationReport:
         }
 
 
-def twin_classes(bg: list[int], wg: list[int]) -> list[tuple[int, ...]]:
-    """The twin classes of a trigraph given by its compatibility masks.
-
-    Twinship is an equivalence relation, and all pairs inside a class
-    have one color.  Twins u, v joined in color c have equal black, white
-    and gray rows once each vertex's own bit is added to its row of color
-    c, so one pass per color groups the vertices by those rows (read off
-    bg and wg: a gray pair is in both).  Classes are sorted, and listed
-    by least vertex.
-    """
-    n = len(bg)
-    head = list(range(n))
-    for own_bg, own_wg in ((1, 0), (0, 1), (1, 1)):
-        first: dict[tuple[int, int], int] = {}
-        for v in range(n):
-            bit = 1 << v
-            u = first.setdefault((bg[v] | bit * own_bg, wg[v] | bit * own_wg), v)
-            if u != v:
-                head[v] = u
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(head[v], []).append(v)
-    return [tuple(c) for c in classes.values()]
-
-
-def flip_orbits(bg: list[int], wg: list[int]) -> Iterator[tuple[int, int, tuple, tuple]]:
+def flip_orbits(bg: list[int], wg: list[int], twins: list[int]) -> Iterator[tuple[int, int, int, int]]:
     """One (u, v, A, B) per orbit of non-gray pairs, in colex order of (u, v).
 
-    The orbit of the pairs between two twin classes A and B is A x B, with
-    representative (min A, min B); the orbit of the pairs inside a class
-    A (then B is A) has representative its two least vertices.  Each
-    representative is the colex-least pair of its orbit, and an orbit is
-    gray exactly when its representative is.  The orbits are generated
-    one at a time, so a scan that stops early builds no more of them.
+    twins are the caller's `detect._twin_masks` of (bg, wg).  The orbit of
+    the pairs between two twin classes A and B is A x B, with
+    representative (min A, min B); the orbit of the pairs inside a class A
+    (then B is A) has representative its two least vertices.  A and B are
+    the classes' masks.  Each representative is the colex-least pair of
+    its orbit, and an orbit is gray exactly when its representative is.
+    Each class head's non-gray row bg ^ wg is read once, and the orbits
+    are generated one at a time, so a scan that stops early builds no
+    more of them.
     """
-    class_of: list[tuple[int, ...]] = [()] * len(bg)
-    for c in twin_classes(bg, wg):
-        for v in c:
-            class_of[v] = c
-    heads: list[tuple[int, ...]] = []
-    for v, c in enumerate(class_of):
-        if c[0] == v:
-            for a in heads:
-                if not (bg[a[0]] & wg[a[0]]) >> v & 1:
-                    yield a[0], v, a, c
-            heads.append(c)
-        elif c[1] == v and not (bg[c[0]] & wg[c[0]]) >> v & 1:
-            yield c[0], v, c, c
+    return _orbit_pairs(twins, [b ^ w for b, w in zip(bg, wg)])
 
 
 class FlipScan(NamedTuple):
@@ -143,6 +125,7 @@ def flips_all_create(
     t: Trigraph,
     h: PatternGraph,
     masks: tuple[list[int], list[int]],
+    twins: list[int],
     collect: bool = False,
 ) -> tuple[Optional[tuple[int, int]], FlipScan]:
     """Condition (b): every non-gray pair, once flipped, admits an induced h.
@@ -153,10 +136,11 @@ def flips_all_create(
     edge onto a black pair or a nonedge onto a white one, would already
     be a witness in t (the lemma in the module docstring).  So a black
     pair is searched as a pattern nonedge and a white pair as an edge.
-    masks is t's (bg, wg) pair from `detect._compat_masks`, built by the
-    caller; the pattern's plan is fetched once, and the masks are left as
-    they were found.  Only the representative of each flip orbit (see
-    `flip_orbits`) is searched: its flip sets the pair's two symmetric
+    masks is t's (bg, wg) pair from `detect._compat_masks` and twins its
+    `detect._twin_masks`, both built by the caller; the pattern's plan is
+    fetched once, and the masks are left as they were found.  Only the
+    representative of each flip orbit (see `flip_orbits`) is searched,
+    pruned by t's twins: its flip sets the pair's two symmetric
     bits (in wg for a black pair, in bg for a white one), searches, and
     clears them again.  With collect, the images
     found for a representative (u, v) are carried to each pair (x, y) of
@@ -171,23 +155,24 @@ def flips_all_create(
     bg, wg = masks
     plan = detect._plan(h)
     failing = None
-    for u, v, a, b in flip_orbits(bg, wg):
+    for u, v, a, b in flip_orbits(bg, wg, twins):
         # a black pair is searched as a pattern nonedge, a white one as an
         # edge; its bit in that role's mask is clear, so xor sets and clears it
         edge = not bg[u] >> v & 1
         side = bg if edge else wg
         side[u] ^= 1 << v
         side[v] ^= 1 << u
-        images = _find_injection_through(bg, wg, t.n, plan, u, v, edge)
+        images = _find_injection_through(bg, wg, t.n, plan, u, v, edge, twins)
         side[u] ^= 1 << v
         side[v] ^= 1 << u
         searched += 1
-        pairs += len(a) * (len(a) - 1) // 2 if a is b else len(a) * len(b)
+        size = a.bit_count()
+        pairs += size * (size - 1) // 2 if a == b else size * b.bit_count()
         if images is None:
             failing = (u, v)
             break
         if collect:
-            for x, y in combinations(a, 2) if a is b else product(a, b):
+            for x, y in combinations(_bits(a), 2) if a == b else product(_bits(a), _bits(b)):
                 mid = _swap(v, u, x)
                 moved = tuple(_swap(_swap(w, u, x), mid, y) for w in images)
                 pair = (x, y) if x < y else (y, x)
@@ -203,13 +188,15 @@ def flips_all_create(
 def is_indsat(t: Trigraph, h: PatternGraph, want_witnesses: bool = False) -> SaturationReport:
     """Decide induced-h-saturation of t, reporting the first failure found.
 
-    The compatibility masks are built once, looked up on `detect` so that
-    one patch point sees the build, and serve both conditions.
+    The compatibility masks and the twin classes are built once, looked
+    up on `detect` so that one patch point sees each build, and serve
+    both conditions.
     """
     masks = detect._compat_masks(t)
-    if _find_injection(t, h, masks) is not None:
+    twins = detect._twin_masks(*masks)
+    if _find_injection(t, h, masks, twins) is not None:
         return SaturationReport(holds_free=False, failing_flip=None)
-    failing, scan = flips_all_create(t, h, masks, collect=want_witnesses)
+    failing, scan = flips_all_create(t, h, masks, twins, collect=want_witnesses)
     return SaturationReport(True, failing, scan.witnesses, scan.searched, scan.pairs)
 
 

@@ -1,5 +1,6 @@
 from functools import lru_cache
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,93 @@ def brute_report(t, h):
     return True, None
 
 
+# -- unpruned references for the twin-pruned searches ----------------------
+
+
+def unpruned_generic(bg, wg, n, plan, anchors=(), twins=None):
+    """The generic search as it was before twin pruning: every candidate in turn.
+
+    twins is accepted and ignored, so that this can stand in for
+    `detect._find_generic`.
+    """
+    order, checks = plan
+    k = len(order)
+    if k > n:
+        return None
+    images = [0] * k
+    for depth, img in enumerate(anchors):
+        for j, is_edge in checks[depth]:
+            if not (bg[images[j]] if is_edge else wg[images[j]]) >> img & 1:
+                return None
+        images[depth] = img
+    full = (1 << n) - 1
+    cands = [0] * k
+    depth = base = len(anchors)
+    while depth < k:
+        cand = full
+        for j, is_edge in checks[depth]:
+            cand &= bg[images[j]] if is_edge else wg[images[j]]
+        while not cand:
+            depth -= 1
+            if depth < base:
+                return None
+            cand = cands[depth]
+        low = cand & -cand
+        cands[depth] = cand ^ low
+        images[depth] = low.bit_length() - 1
+        depth += 1
+    found = [0] * k
+    for depth, v in enumerate(order):
+        found[v] = images[depth]
+    return tuple(found)
+
+
+def colex_p4(bg, wg, twins=None):
+    """The P4 kernel's condition-(a) scan over every black/gray middle pair, in colex order."""
+    for v3 in range(len(bg)):
+        below = bg[v3] & ((1 << v3) - 1)
+        while below:
+            low = below & -below
+            v2 = low.bit_length() - 1
+            ends = indsat.detect._linked(wg, bg[v2] & wg[v3], bg[v3] & wg[v2])
+            if ends is not None:
+                return ends[0], v2, v3, ends[1]
+            below ^= low
+    return None
+
+
+def reference_injection(t, h):
+    """`detect._find_injection` by the unpruned searches."""
+    if h.k > t.n:
+        return None
+    bg, wg = indsat.detect._compat_masks(t)
+    plan = indsat.detect._plan(h)
+    if plan.p4 is not None:
+        found = colex_p4(bg, wg)
+        return None if found is None else plan.p4(found)
+    return unpruned_generic(bg, wg, t.n, plan.whole)
+
+
+def reference_through(bg, wg, n, plan, x, y, edge):
+    """`detect._find_injection_through` by the unpruned generic search."""
+    if plan.p4 is not None:
+        found = indsat.detect._find_p4_through(bg, wg, n, x, y, edge)
+        return None if found is None else plan.p4(found)
+    for anchored in plan.through[edge]:
+        found = unpruned_generic(bg, wg, n, anchored, (x, y))
+        if found is not None:
+            return found
+    return None
+
+
+def reference_is_indsat(t, h, want_witnesses=False):
+    """`is_indsat` with the library's searches swapped for the unpruned ones."""
+    with mock.patch.object(indsat.detect, "_find_generic", unpruned_generic), mock.patch.object(
+        indsat.detect, "_find_p4", colex_p4
+    ):
+        return is_indsat(t, h, want_witnesses)
+
+
 def test_flip_loop_matches_brute_oracle_exhaustive_n4():
     # a bit left set after one flip would leak into the later flips
     for h in ORACLE_PATTERNS:
@@ -136,15 +224,15 @@ def per_pair_report(t, h):
 
     The reference for the orbit flip loop: it flips every non-gray pair in
     colex order, so its witness keys are the non-gray pairs before the
-    failing one.
+    failing one, and it searches each by the unpruned references.
     """
-    if has_realization_of(t, h):
+    if reference_injection(t, h) is not None:
         return False, None, None
     keys = []
     for u, v in all_pairs(t.n):
         if t.color(u, v) is GRAY:
             continue
-        if not has_realization_of(t.flip(u, v), h):
+        if reference_injection(t.flip(u, v), h) is None:
             return True, (u, v), keys
         keys.append((u, v))
     return True, None, keys
@@ -410,6 +498,11 @@ def classes_of(t):
     return twin_classes(*indsat.detect._compat_masks(t))
 
 
+def members(mask):
+    """The vertices of a class mask, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(twin_blow_ups(), st.data())
 def test_twin_classes_are_exactly_the_twins(t, data):
@@ -434,10 +527,13 @@ def test_twin_classes_are_exactly_the_twins(t, data):
 @given(twin_blow_ups())
 def test_flip_orbits_partition_the_nongray_pairs(t):
     reps, covered = [], []
-    for u, v, a, b in flip_orbits(*indsat.detect._compat_masks(t)):
+    masks = indsat.detect._compat_masks(t)
+    for u, v, a, b in flip_orbits(*masks, indsat.detect._twin_masks(*masks)):
+        inside = a == b
+        a, b = members(a), members(b)
         orbit = sorted(
             (pair_index(x, y), (min(x, y), max(x, y)))
-            for x, y in (combinations(a, 2) if a is b else product(a, b))
+            for x, y in (combinations(a, 2) if inside else product(a, b))
         )
         # the representative is the colex-least pair of its orbit
         assert orbit[0][1] == (u, v), (t, u, v, orbit)
@@ -465,7 +561,8 @@ def gray_star_plus_isolated(n):
     ids=["tn64", "alternative63", "k4-book64", "k3-star64"],
 )
 def test_flip_orbit_counts_at_n64(t, orbits):
-    assert len(list(flip_orbits(*indsat.detect._compat_masks(t)))) == orbits
+    masks = indsat.detect._compat_masks(t)
+    assert len(list(flip_orbits(*masks, indsat.detect._twin_masks(*masks)))) == orbits
 
 
 def test_flip_loop_searches_one_pair_per_orbit(monkeypatch):
@@ -474,10 +571,10 @@ def test_flip_loop_searches_one_pair_per_orbit(monkeypatch):
 
     roles = []
 
-    def counting(bg, wg, n, plan, x, y, edge):
+    def counting(bg, wg, n, plan, x, y, edge, twins):
         calls.append((x, y))
         roles.append(edge)
-        return real(bg, wg, n, plan, x, y, edge)
+        return real(bg, wg, n, plan, x, y, edge, twins)
 
     monkeypatch.setattr(indsat.saturation, "_find_injection_through", counting)
     rep = is_indsat(construct_tn(64)[0], P4)
@@ -505,6 +602,148 @@ TWIN_FAMILIES = (
     gray_star,
     gray_triangle_rest_black,
 )
+
+
+# -- twin pruning -------------------------------------------------------------
+
+
+# every graph on 3 vertices: no edge, one edge, P3 and K3
+THREE_VERTEX_PATTERNS = tuple(PatternGraph(3, mask) for mask in (0, 1, 3, 7))
+TWIN_PATTERNS = THREE_VERTEX_PATTERNS + GRAPHS_ON_4 + FIVE_VERTEX_PATTERNS
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_blow_ups(max_n=12))
+def test_twin_masks_are_the_class_masks(t):
+    twins = indsat.detect._twin_masks(*indsat.detect._compat_masks(t))
+    for c in classes_of(t):
+        assert all(twins[v] == sum(1 << x for x in c) for v in c), (t, c)
+    assert indsat.saturation.twin_classes is indsat.detect.twin_classes
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_blow_ups(max_n=12), st.data())
+def test_twin_pruned_searches_return_the_unpruned_results(t, data):
+    # half the time a pattern that t is free of, when there is one, so
+    # that the flips are searched
+    free = [h for h in TWIN_PATTERNS if not has_realization_of(t, h)]
+    h = data.draw(st.sampled_from(free if free and data.draw(st.booleans()) else TWIN_PATTERNS))
+    # condition (a), as find_embedding sees it
+    assert indsat.detect._find_injection(t, h) == reference_injection(t, h), (h, t)
+    # every non-gray pair flipped and searched in both roles and orders,
+    # pruned by the classes of t (as the flip loop does) or of the flip
+    twins = indsat.detect._twin_masks(*indsat.detect._compat_masks(t))
+    plan = indsat.detect._plan(h)
+    through = indsat.detect._find_injection_through
+    for pair in all_pairs(t.n):
+        if t.color(*pair) is GRAY:
+            continue
+        bg, wg = indsat.detect._compat_masks(t.flip(*pair))
+        for (x, y), edge in product((pair, pair[::-1]), (False, True)):
+            expected = reference_through(bg, wg, t.n, plan, x, y, edge)
+            assert through(bg, wg, t.n, plan, x, y, edge, twins) == expected, (h, t, x, y, edge)
+            assert through(bg, wg, t.n, plan, x, y, edge) == expected, (h, t, x, y, edge)
+    rep, ref = is_indsat(t, h, want_witnesses=True), reference_is_indsat(t, h, want_witnesses=True)
+    assert rep.to_dict() == ref.to_dict(), (h, t)
+    assert rep.witness_flips == ref.witness_flips, (h, t)
+
+
+def test_pruned_condition_a_matches_unpruned_exhaustive_n4():
+    for h in THREE_VERTEX_PATTERNS + GRAPHS_ON_4:
+        for n in range(2, 5):
+            for t in all_trigraphs(n):
+                assert indsat.detect._find_injection(t, h) == reference_injection(t, h), (h, t)
+
+
+def test_p4_kernel_answers_from_the_colex_least_middle_pair():
+    # 1 and 3 are twins, so the black middle pairs (0, 1) and (0, 3) share an orbit
+    t = from_pairs(4, black=[(0, 1), (0, 3)], gray=[(1, 2), (2, 3)])
+    assert classes_of(t) == [(0,), (1, 3), (2,)]
+    # the path 3-0-1-2 through the colex-least pair, not 1-0-3-2
+    assert indsat.detect._find_injection(t, P4) == reference_injection(t, P4) == (3, 0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "t, orbits, pairs",
+    [(construct_tn(64)[0], 442, 672), (construct_alternative(63), 422, 1243)],
+    ids=["tn64", "alternative63"],
+)
+def test_p4_kernel_tries_one_middle_pair_per_orbit(monkeypatch, t, orbits, pairs):
+    calls = []
+    real = indsat.detect._linked
+
+    def counting(rel, a_set, b_set):
+        calls.append((a_set, b_set))
+        return real(rel, a_set, b_set)
+
+    monkeypatch.setattr(indsat.detect, "_linked", counting)
+    # P4-free, so condition (a) tries every middle pair it is given
+    assert indsat.detect._find_injection(t, P4) is None
+    assert len(calls) == orbits
+    calls.clear()
+    assert reference_injection(t, P4) is None
+    assert len(calls) == pairs
+
+
+class CountingRows(list):
+    """A list of mask rows that counts its reads in counter[0]."""
+
+    def __init__(self, rows, counter):
+        super().__init__(rows)
+        self.counter = counter
+
+    def __getitem__(self, v):
+        self.counter[0] += 1
+        return super().__getitem__(v)
+
+
+def row_reads(search, t, h, anchors=()):
+    """(images, mask rows read) of one generic search of t, anchored at an edge of h if asked."""
+    plan = indsat.detect._plan(h)
+    masks = indsat.detect._compat_masks(t)
+    twins = indsat.detect._twin_masks(*masks)
+    count = [0]
+    bg, wg = (CountingRows(rows, count) for rows in masks)
+    anchored = plan.through[True][0] if anchors else plan.whole
+    return search(bg, wg, t.n, anchored, anchors, twins), count[0]
+
+
+@pytest.mark.parametrize(
+    "t, h, anchors",
+    [
+        (gray_book(64), complete_graph(4), ()),
+        (gray_triangle_rest_black(64), C4, ()),
+        (gray_star_plus_isolated(64), K3, ()),
+        # the two gray vertices of the book, joined by every other vertex
+        (gray_book(64), complete_graph(4), (0, 1)),
+    ],
+    ids=["k4-book64", "c4-triangle64", "k3-star64", "k4-book64-anchored"],
+)
+def test_generic_search_tries_one_vertex_per_twin_class(t, h, anchors):
+    found, pruned = row_reads(indsat.detect._find_generic, t, h, anchors)
+    expected, unpruned = row_reads(unpruned_generic, t, h, anchors)
+    assert found == expected is None
+    # 2 or 3 twin classes, against 64 vertices
+    assert 10 * pruned < unpruned, (pruned, unpruned)
+
+
+def test_twin_classes_are_found_once_per_check(monkeypatch):
+    calls = []
+    real = indsat.detect._twin_masks
+
+    def counting(bg, wg):
+        calls.append(len(bg))
+        return real(bg, wg)
+
+    monkeypatch.setattr(indsat.detect, "_twin_masks", counting)
+    for t, h in (
+        (construct_tn(40)[0], P4),
+        (gray_book(20), complete_graph(4)),
+        (gray_star_plus_isolated(20), K3),
+    ):
+        calls.clear()
+        is_indsat(t, h, want_witnesses=True)
+        assert calls == [t.n], (h, calls)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
