@@ -238,35 +238,58 @@ def _find_p4_through(
 
     With edge, {x, y} is the image of a path edge: the middle pair, then
     an end and its neighbor.  Without, it is the image of a nonedge: the
-    two ends, then an end and the far middle vertex.  The kernel does not
-    test the pair's own bit, so it is sound only when the pair is usable
-    in that role (y in bg[x] for an edge, y in wg[x] for a nonedge).
-    Each of these roles leaves two path vertices to find, a in a set A
-    and b in a set B, joined by an edge (b in bg[a]) or a nonedge (b in
-    wg[a]); `_linked` answers each from the smaller of A and B.
+    two ends, then an end and the far middle vertex.  Each of these roles
+    leaves two path vertices to find, a in a set A and b in a set B,
+    joined by an edge (b in bg[a]) or a nonedge (b in wg[a]); `_linked`
+    answers each from the smaller of A and B.  The sets come from rows x
+    and y alone, and each is built once per call: near_x (joined to x,
+    apart from y) and near_y serve all three roles, and the two
+    orientations of the last two roles share one more, wg[x] & wg[y] for
+    an edge and bg[x] & bg[y] for a nonedge.
+
+    The kernel never tests the pair's own bit: it answers as if the pair
+    were usable in that role (y in bg[x] for an edge, y in wg[x] for a
+    nonedge), as it is once {x, y} is flipped gray.  And it gives that
+    answer on the masks of T before the flip too, so the flip loop
+    passes T's masks unedited.  Lemma: flipping {x, y} changes only rows
+    x and y (the bit of y in row x and of x in row y).  Every set built
+    here from those rows excludes x and y, since no row holds its own
+    vertex, and every other row `_linked` reads belongs to a vertex of
+    such a set, outside {x, y}.  So the kernel returns the same path, or
+    None, on both masks.
     """
     bx, by, wx, wy = bg[x], bg[y], wg[x], wg[y]
+    # near_x is joined to x and apart from y, near_y the reverse
+    near_x, near_y = bx & wy, by & wx
     if edge:
         # {x, y} as the middle pair, v2 = x, v3 = y: the ends are apart
-        found = _linked(wg, bx & wy, by & wx)
+        found = _linked(wg, near_x, near_y)
         if found is not None:
             return found[0], x, y, found[1]
-        # {x, y} as an end and its neighbor, v1 = p, v2 = q: v3 joined to v4
-        for p, q in ((x, y), (y, x)):
-            found = _linked(bg, bg[q] & wg[p], wg[p] & wg[q])
-            if found is not None:
-                return p, q, found[0], found[1]
+        # {x, y} as an end and its neighbor, v1 = p, v2 = q: v3 in near_q
+        # joined to v4 in wg[p] & wg[q]
+        apart = wx & wy
+        found = _linked(bg, near_y, apart)
+        if found is not None:
+            return x, y, found[0], found[1]
+        found = _linked(bg, near_x, apart)
+        if found is not None:
+            return y, x, found[0], found[1]
         return None
     # {x, y} as the two ends, v1 = x, v4 = y (reversal covers the swap):
     # the middle vertices come from the same two sets and are joined
-    found = _linked(bg, bx & wy, by & wx)
+    found = _linked(bg, near_x, near_y)
     if found is not None:
         return x, found[0], found[1], y
-    # {x, y} as an end and the far middle, v1 = p, v3 = q: v2 apart from v4
-    for p, q in ((x, y), (y, x)):
-        found = _linked(wg, bg[p] & bg[q], bg[q] & wg[p])
-        if found is not None:
-            return p, found[0], q, found[1]
+    # {x, y} as an end and the far middle, v1 = p, v3 = q: v2 in bg[p] & bg[q]
+    # apart from v4 in near_q
+    joined = bx & by
+    found = _linked(wg, joined, near_y)
+    if found is not None:
+        return x, found[0], y, found[1]
+    found = _linked(wg, joined, near_x)
+    if found is not None:
+        return y, found[0], x, found[1]
     return None
 
 
@@ -431,23 +454,37 @@ def _find_injection_through(
     """Injection mapping a pattern edge (edge true) or nonedge onto {x, y}, or None.
 
     Works on the compatibility masks and the pattern's `_plan` alone, so a
-    caller checking many flips fetches both once and, per flip, sets the
-    pair's bit in the role's mask before the call and clears it after.
-    The generic search anchors one ordered pattern pair per Aut(h)-orbit
-    of that role's pairs, in the order of `anchor_pair_orbits`, and is
-    pruned by twins, passed on to `_find_generic`: the `_twin_masks` of
-    the trigraph before the flip (sound since x and y are anchored).  A
-    P4 kernel's path needs four distinct vertices, so it finds none when
-    n < 4, as `_find_generic` does for any pattern larger than n.
+    caller checking many flips fetches both once.  The masks may be those
+    of T with {x, y} still in its old color: the flip to gray only adds y
+    to row x and x to row y of the role's mask (bg for an edge, wg for a
+    nonedge), and the search reads them as if it had.  A P4 kernel never
+    reads that bit (see `_find_p4_through`).  The generic search does, so
+    it saves rows x and y of the role's mask, ORs the pair's bit into
+    both (OR, not XOR: a caller may pass masks where it is already set),
+    and puts the saved rows back on every exit; the masks are as they
+    were passed in when this returns.  The generic search anchors one
+    ordered pattern pair per Aut(h)-orbit of that role's pairs, in the
+    order of `anchor_pair_orbits`, and is pruned by twins, passed on to
+    `_find_generic`: the `_twin_masks` of the trigraph before the flip
+    (sound since x and y are anchored).  A P4 kernel's path needs four
+    distinct vertices, so it finds none when n < 4, as `_find_generic`
+    does for any pattern larger than n.
     """
     if plan.p4 is not None:
         found = _find_p4_through(bg, wg, n, x, y, edge)
         return None if found is None else plan.p4(found)
-    for anchored in plan.through[edge]:
-        found = _find_generic(bg, wg, n, anchored, (x, y), twins)
-        if found is not None:
-            return found
-    return None
+    side = bg if edge else wg
+    row_x, row_y = side[x], side[y]
+    side[x] = row_x | 1 << y
+    side[y] = row_y | 1 << x
+    try:
+        for anchored in plan.through[edge]:
+            found = _find_generic(bg, wg, n, anchored, (x, y), twins)
+            if found is not None:
+                return found
+        return None
+    finally:
+        side[x], side[y] = row_x, row_y
 
 
 # -- public surface ----------------------------------------------------

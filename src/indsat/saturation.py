@@ -38,6 +38,12 @@ in that p is now also white-or-gray (p black) or also black-or-gray (p
 white).  An injection that maps a pattern edge onto a black p, or a
 nonedge onto a white p, uses p as T already colors it and every other
 pair unchanged, so it is an injection into T, which (a) rules out.
+
+The flip loop never edits T's compatibility masks: each flip is
+searched on them as they are.  The flip changes only the two bits of p
+in its new role's mask.  The P4 kernel reads neither (the lemma in
+`detect._find_p4_through`), and the generic search sets them for its
+own run and restores them, so the masks stay read-only for the scan.
 """
 
 from __future__ import annotations
@@ -138,14 +144,15 @@ def flips_all_create(
     pair is searched as a pattern nonedge and a white pair as an edge.
     masks is t's (bg, wg) pair from `detect._compat_masks` and twins its
     `detect._twin_masks`, both built by the caller; the pattern's plan is
-    fetched once, and the masks are left as they were found.  Only the
-    representative of each flip orbit (see `flip_orbits`) is searched,
-    pruned by t's twins: its flip sets the pair's two symmetric
-    bits (in wg for a black pair, in bg for a white one), searches, and
-    clears them again.  With collect, the images
-    found for a representative (u, v) are carried to each pair (x, y) of
-    its orbit by the twin swaps (u x), then (v' y) with v' the image of v
-    under the first swap; together they send u to x and v to y.
+    fetched once.  Only the representative of each flip orbit (see
+    `flip_orbits`) is searched, pruned by t's twins, and on t's masks as
+    they are: the loop never edits them, and `_find_injection_through`
+    answers for the flip from them (the P4 kernel reads no bit of the
+    pair, and the generic search sets the pair's bit for its own run and
+    restores the two rows).  With collect, the images found for a
+    representative (u, v) are carried to each pair (x, y) of its orbit
+    by the twin swaps (u x), then (v' y) with v' the image of v under
+    the first swap; together they send u to x and v to y.
     Returns (first failing pair or None, the scan's counts and, if
     collect, one witness per non-gray pair before the failing pair).
     """
@@ -156,15 +163,8 @@ def flips_all_create(
     plan = detect._plan(h)
     failing = None
     for u, v, a, b in flip_orbits(bg, wg, twins):
-        # a black pair is searched as a pattern nonedge, a white one as an
-        # edge; its bit in that role's mask is clear, so xor sets and clears it
-        edge = not bg[u] >> v & 1
-        side = bg if edge else wg
-        side[u] ^= 1 << v
-        side[v] ^= 1 << u
-        images = _find_injection_through(bg, wg, t.n, plan, u, v, edge, twins)
-        side[u] ^= 1 << v
-        side[v] ^= 1 << u
+        # a black pair is searched as a pattern nonedge, a white one as an edge
+        images = _find_injection_through(bg, wg, t.n, plan, u, v, not bg[u] >> v & 1, twins)
         searched += 1
         size = a.bit_count()
         pairs += size * (size - 1) // 2 if a == b else size * b.bit_count()

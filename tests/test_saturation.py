@@ -1,3 +1,4 @@
+import hashlib
 from functools import lru_cache
 from itertools import combinations, product
 from unittest import mock
@@ -28,6 +29,7 @@ from indsat.saturation import (
     GrayShape,
     classify_gray_components,
     flip_orbits,
+    flips_all_create,
     is_indsat,
     partition_star,
     partition_triangle,
@@ -744,6 +746,161 @@ def test_twin_classes_are_found_once_per_check(monkeypatch):
         calls.clear()
         is_indsat(t, h, want_witnesses=True)
         assert calls == [t.n], (h, calls)
+
+
+# -- flip searches on the unflipped masks ------------------------------------
+
+
+def with_role_bit(masks, x, y, edge):
+    """Copies of (bg, wg) with the pair {x, y} in the role's mask (bg for an edge)."""
+    bg, wg = (list(rows) for rows in masks)
+    side = bg if edge else wg
+    side[x] |= 1 << y
+    side[y] |= 1 << x
+    return bg, wg
+
+
+@settings(max_examples=150, deadline=None)
+@given(trigraphs(min_n=2, max_n=7), st.sampled_from((P4, K3, C4, PAW, CLAW)))
+def test_flip_searches_answer_alike_on_the_unflipped_masks(t, h):
+    # the flip loop passes t's masks as they are; each search must answer
+    # as on the masks of the flip, and hand the masks back unchanged
+    masks = indsat.detect._compat_masks(t)
+    twins = indsat.detect._twin_masks(*masks)
+    plan = indsat.detect._plan(h)
+    for pair in all_pairs(t.n):
+        if t.color(*pair) is GRAY:
+            continue
+        for (x, y), edge in product((pair, pair[::-1]), (False, True)):
+            flipped = with_role_bit(masks, x, y, edge)
+            path = indsat.detect._find_p4_through(*masks, t.n, x, y, edge)
+            assert path == indsat.detect._find_p4_through(*flipped, t.n, x, y, edge), (t, x, y, edge)
+            anchored = (
+                indsat.detect._find_generic(*flipped, t.n, order, (x, y), twins)
+                for order in plan.through[edge]
+            )
+            expected = next((found for found in anchored if found is not None), None)
+            if plan.p4 is not None:
+                expected = None if path is None else plan.p4(path)
+            for given in (masks, flipped):
+                before = [list(rows) for rows in given]
+                found = indsat.detect._find_injection_through(*given, t.n, plan, x, y, edge, twins)
+                assert found == expected, (h, t, x, y, edge)
+                assert [list(rows) for rows in given] == before, (h, t, x, y, edge)
+
+
+class ReadOnlyRows(list):
+    """A list of mask rows that refuses every write."""
+
+    def __setitem__(self, v, row):
+        raise AssertionError(f"row {v} written")
+
+
+@pytest.mark.parametrize(
+    "t, h, failing",
+    [(construct_tn(9)[0], P4, None), (gray_star_plus_isolated(9), K3, (0, 8))],
+    ids=["p4-tn9", "k3-star9"],
+)
+def test_flip_scan_leaves_the_masks_unchanged(monkeypatch, t, h, failing):
+    masks = indsat.detect._compat_masks(t)
+    before = [list(rows) for rows in masks]
+    twins = indsat.detect._twin_masks(*masks)
+    # the K3 star's scan finds the leaf pairs' flips, then exits at the failing flip
+    found, scan = flips_all_create(t, h, masks, twins, collect=True)
+    assert found == failing and scan.searched > 1
+    assert [list(rows) for rows in masks] == before
+    if h == P4:
+        # the P4 scan writes no row at all
+        read_only = tuple(ReadOnlyRows(rows) for rows in masks)
+        assert flips_all_create(t, h, read_only, twins, collect=True) == (found, scan)
+    built = []
+    real = indsat.detect._compat_masks
+
+    def keeping(t):
+        masks = real(t)
+        built.append((masks, [list(rows) for rows in masks]))
+        return masks
+
+    monkeypatch.setattr(indsat.detect, "_compat_masks", keeping)
+    assert is_indsat(t, h, want_witnesses=True).failing_flip == failing
+    [(masks, before)] = built
+    assert [list(rows) for rows in masks] == before
+
+
+# (t, flipped pair, the kernel's path, the paths of the later roles that also
+# find one): the kernel tries the roles in a fixed order and returns the first
+P4_ROLE_ORDER_CASES = [
+    # a white pair, searched as a path edge: middle pair first, then (0, 3)
+    # as an end and its neighbor, then (3, 0)
+    (
+        from_pairs(6, black=[(2, 3), (2, 5)], gray=[(0, 4), (1, 4)]),
+        (0, 3),
+        (4, 0, 3, 2),
+        [(0, 3, 2, 5), (3, 0, 4, 1)],
+    ),
+    # a black pair, searched as a nonedge: the two ends first, then 0 as an
+    # end with 1 as the far middle, then the reverse
+    (
+        from_pairs(
+            6,
+            black=[(0, 1), (0, 2), (1, 2), (0, 3), (2, 3), (1, 4), (3, 4)]
+            + [(0, 5), (1, 5), (2, 5), (4, 5)],
+        ),
+        (0, 1),
+        (0, 3, 4, 1),
+        [(0, 2, 1, 4), (1, 5, 0, 3)],
+    ),
+    # the middle pair finds none: an end and its neighbor as (3, 4), then (4, 3)
+    (
+        from_pairs(5, black=[(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)], gray=[(1, 3), (1, 4)]),
+        (3, 4),
+        (3, 4, 1, 2),
+        [(4, 3, 1, 2)],
+    ),
+    # the two ends find none: 1 as an end with 2 as the far middle, then 2 with 1
+    (
+        from_pairs(5, black=[(1, 2), (1, 4), (2, 4)], gray=[(1, 3), (2, 3), (3, 4)]),
+        (1, 2),
+        (1, 4, 2, 3),
+        [(2, 4, 1, 3)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "t, pair, path, later",
+    P4_ROLE_ORDER_CASES,
+    ids=["edge-three-roles", "nonedge-three-roles", "edge-both-ends", "nonedge-both-ends"],
+)
+def test_p4_flip_kernel_returns_the_first_role_in_order(t, pair, path, later):
+    assert not has_realization_of(t, P4)
+    flipped = t.flip(*pair)
+    edge = t.color(*pair) is WHITE
+    # every path is a witness of the flip, through the pair in its new role
+    for images in [path] + later:
+        assert embedding_is_valid(flipped, P4, indsat.detect._embedding_from(flipped, P4, images))
+        assert P4.has_edge(images.index(pair[0]), images.index(pair[1])) == edge
+    for masks in (indsat.detect._compat_masks(t), indsat.detect._compat_masks(flipped)):
+        assert indsat.detect._find_p4_through(*masks, t.n, *pair, edge) == path
+
+
+def witness_digest(witnesses):
+    """sha256 of every witness: pair, images and the gray pairs resolved each way."""
+    entries = (
+        (p, e.vertices, sorted(e.gray_as_black), sorted(e.gray_as_white)) for p, e in witnesses.items()
+    )
+    text = repr(sorted(entries))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_witness_flips_of_tn10_are_pinned():
+    # the digest of the witnesses as the flip scan gave them when it still
+    # set and cleared each pair's bits around the search
+    rep = is_indsat(construct_tn(10)[0], P4, want_witnesses=True)
+    assert len(rep.witness_flips) == 41
+    assert witness_digest(rep.witness_flips) == (
+        "b940ca1be0031f268f27c2c1706687882fe4b988467da36f3315d3b905437539"
+    )
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
