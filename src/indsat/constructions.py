@@ -98,18 +98,10 @@ def construct_alternative(n: int) -> Trigraph:
     nz = n - 4
     z = complete_gray(2) if nz == 2 else construct_tn(nz)[0].complement()
     u, v1, v2 = nz, nz + 1, nz + 2  # plus the all-white vertex n-1
-    black = [(v1, v2)]
-    gray = []
-    for a in range(nz):
-        for b in range(a + 1, nz):
-            c = z.color(a, b)
-            if c.value == "B":
-                black.append((a, b))
-            elif c.value == "G":
-                gray.append((a, b))
-    gray += [(u, v1), (u, v2)]
-    black += [(w, v) for w in range(nz) for v in (v1, v2)]
-    return from_pairs(n, black=black, gray=gray)
+    black = [(v1, v2)] + [(w, v) for w in range(nz) for v in (v1, v2)]
+    star = from_pairs(n, black=black, gray=[(u, v1), (u, v2)])
+    # Z sits on 0..nz-1, whose colex pair indices do not depend on n
+    return Trigraph(n, z.black | star.black, z.gray | star.gray)
 
 
 # -- closed-form saturation values -------------------------------------

@@ -232,7 +232,7 @@ def _find_p4(bg: list[int], wg: list[int], twins: list[int]) -> Optional[tuple[i
 
 
 def _find_p4_through(
-    bg: list[int], wg: list[int], n: int, x: int, y: int, edge: bool
+    bg: list[int], wg: list[int], x: int, y: int, edge: bool
 ) -> Optional[tuple[int, int, int, int]]:
     """An induced-4-path injection (v1, v2, v3, v4) through {x, y} in one role, or None.
 
@@ -248,15 +248,9 @@ def _find_p4_through(
     an edge and bg[x] & bg[y] for a nonedge.
 
     The kernel never tests the pair's own bit: it answers as if the pair
-    were usable in that role (y in bg[x] for an edge, y in wg[x] for a
-    nonedge), as it is once {x, y} is flipped gray.  And it gives that
-    answer on the masks of T before the flip too, so the flip loop
-    passes T's masks unedited.  Lemma: flipping {x, y} changes only rows
-    x and y (the bit of y in row x and of x in row y).  Every set built
-    here from those rows excludes x and y, since no row holds its own
-    vertex, and every other row `_linked` reads belongs to a vertex of
-    such a set, outside {x, y}.  So the kernel returns the same path, or
-    None, on both masks.
+    were usable in that role, as it is once {x, y} is flipped gray, and
+    gives that answer on T's masks too (the lemma in
+    `_find_injection_through`).
     """
     bx, by, wx, wy = bg[x], bg[y], wg[x], wg[y]
     # near_x is joined to x and apart from y, near_y the reverse
@@ -371,9 +365,10 @@ def _find_generic(
     """Depth-first injection search for arbitrary patterns (k <= 8), or None.
 
     plan is one (order, checks) of a `_Plan`, and anchors fixes the images
-    of its first depths; inconsistent anchors give None.  The candidates
-    at depth d are the vertices allowed by every check of checks[d].
-    Since neither bg[v] nor wg[v] contains v and every earlier depth is
+    of its first depths unchecked: an anchored pair is taken to be usable
+    in its plan's role, as it is once flipped gray.  The candidates at
+    depth d are the vertices allowed by every check of checks[d].  Since
+    neither bg[v] nor wg[v] contains v and every earlier depth is
     checked, the candidates exclude the images already used.  The stacks
     hold the image and the untried candidates of each depth; a candidate
     is taken as the lowest set bit, and once taken its whole twin class
@@ -389,12 +384,7 @@ def _find_generic(
         return None
     if twins is None:
         twins = _twin_masks(bg, wg)
-    images = [0] * k  # by depth, not by pattern vertex
-    for depth, img in enumerate(anchors):
-        for j, is_edge in checks[depth]:
-            if not (bg[images[j]] if is_edge else wg[images[j]]) >> img & 1:
-                return None
-        images[depth] = img
+    images = list(anchors) + [0] * (k - len(anchors))  # by depth, not by pattern vertex
     full = (1 << n) - 1
     cands = [0] * k  # untried candidates by depth
     depth = base = len(anchors)
@@ -454,15 +444,15 @@ def _find_injection_through(
     """Injection mapping a pattern edge (edge true) or nonedge onto {x, y}, or None.
 
     Works on the compatibility masks and the pattern's `_plan` alone, so a
-    caller checking many flips fetches both once.  The masks may be those
-    of T with {x, y} still in its old color: the flip to gray only adds y
-    to row x and x to row y of the role's mask (bg for an edge, wg for a
-    nonedge), and the search reads them as if it had.  A P4 kernel never
-    reads that bit (see `_find_p4_through`).  The generic search does, so
-    it saves rows x and y of the role's mask, ORs the pair's bit into
-    both (OR, not XOR: a caller may pass masks where it is already set),
-    and puts the saved rows back on every exit; the masks are as they
-    were passed in when this returns.  The generic search anchors one
+    caller checking many flips fetches both once.  Both kernels take
+    {x, y} to be usable in its role, as it is once flipped gray, and the
+    masks may be those of T with the pair still in its old color; no row
+    is written.  Lemma: flipping {x, y} changes only bit y of row x and
+    bit x of row y.  Every set the P4 kernel builds from those rows
+    excludes x and y.  The generic search places x and y unchecked, and
+    every later candidate set excludes them.  So each search gives the same
+    answer on T's masks as on the flip's, and the masks are read-only for
+    a whole flip scan, for every pattern.  The generic search anchors one
     ordered pattern pair per Aut(h)-orbit of that role's pairs, in the
     order of `anchor_pair_orbits`, and is pruned by twins, passed on to
     `_find_generic`: the `_twin_masks` of the trigraph before the flip
@@ -471,20 +461,13 @@ def _find_injection_through(
     does for any pattern larger than n.
     """
     if plan.p4 is not None:
-        found = _find_p4_through(bg, wg, n, x, y, edge)
+        found = _find_p4_through(bg, wg, x, y, edge)
         return None if found is None else plan.p4(found)
-    side = bg if edge else wg
-    row_x, row_y = side[x], side[y]
-    side[x] = row_x | 1 << y
-    side[y] = row_y | 1 << x
-    try:
-        for anchored in plan.through[edge]:
-            found = _find_generic(bg, wg, n, anchored, (x, y), twins)
-            if found is not None:
-                return found
-        return None
-    finally:
-        side[x], side[y] = row_x, row_y
+    for anchored in plan.through[edge]:
+        found = _find_generic(bg, wg, n, anchored, (x, y), twins)
+        if found is not None:
+            return found
+    return None
 
 
 # -- public surface ----------------------------------------------------

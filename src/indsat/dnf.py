@@ -183,10 +183,12 @@ def encode_pattern(n: int, h: PatternGraph) -> DnfFormula:
 
     Positive literals sit on the placement's edge pairs, negative on its
     nonedge pairs; labelings equal up to an automorphism of h collapse
-    to the same clause.
+    to the same clause.  An n below h's vertex count is a ValueError, one
+    above `patterns.PLACEMENT_MAX_VERTICES` a ResourceLimitError (from
+    `induced_placements`).
     """
-    if not h.k <= n <= 8:
-        raise ValueError(f"need {h.k} <= n <= 8, got n={n}")
+    if n < h.k:
+        raise ValueError(f"need n >= {h.k} for a {h.k}-vertex pattern, got n={n}")
     return DnfFormula(pair_count(n), induced_placements(n, h))
 
 

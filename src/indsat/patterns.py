@@ -11,10 +11,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from .errors import ResourceLimitError
 from .textformat import is_number, load_file, read_document
 from .trigraph import all_pairs, index_pair, pair_count, pair_index
 
 MAX_PATTERN_VERTICES = 8
+# The most vertices a placement table (and so a DNF encoding) is built for.
+PLACEMENT_MAX_VERTICES = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,8 +163,10 @@ def induced_placements(n: int, h: PatternGraph) -> tuple[tuple[int, int], ...]:
     deduplicated.  Order of first generation is kept, so the result is
     deterministic.
     """
-    if n > 8:
-        raise ValueError("placement tables are only built for n <= 8")
+    if n > PLACEMENT_MAX_VERTICES:
+        raise ResourceLimitError(
+            f"placement tables are only built for n <= {PLACEMENT_MAX_VERTICES}, got n={n}"
+        )
     out: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for subset in combinations(range(n), h.k):

@@ -41,9 +41,9 @@ pair unchanged, so it is an injection into T, which (a) rules out.
 
 The flip loop never edits T's compatibility masks: each flip is
 searched on them as they are.  The flip changes only the two bits of p
-in its new role's mask.  The P4 kernel reads neither (the lemma in
-`detect._find_p4_through`), and the generic search sets them for its
-own run and restores them, so the masks stay read-only for the scan.
+in its new role's mask, and neither search answers differently for
+them (the lemma in `detect._find_injection_through`), so the masks are
+read-only for the scan, for every pattern.
 """
 
 from __future__ import annotations
@@ -146,13 +146,12 @@ def flips_all_create(
     `detect._twin_masks`, both built by the caller; the pattern's plan is
     fetched once.  Only the representative of each flip orbit (see
     `flip_orbits`) is searched, pruned by t's twins, and on t's masks as
-    they are: the loop never edits them, and `_find_injection_through`
-    answers for the flip from them (the P4 kernel reads no bit of the
-    pair, and the generic search sets the pair's bit for its own run and
-    restores the two rows).  With collect, the images found for a
-    representative (u, v) are carried to each pair (x, y) of its orbit
-    by the twin swaps (u x), then (v' y) with v' the image of v under
-    the first swap; together they send u to x and v to y.
+    they are: no search writes them, and `_find_injection_through`
+    answers for the flip from them (the lemma in its docstring).  With
+    collect, the images found for a representative (u, v) are carried
+    to each pair (x, y) of its orbit by the twin swaps (u x), then
+    (v' y) with v' the image of v under the first swap; together they
+    send u to x and v to y.
     Returns (first failing pair or None, the scan's counts and, if
     collect, one witness per non-gray pair before the failing pair).
     """

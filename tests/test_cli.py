@@ -131,6 +131,14 @@ def test_encode_saturate_pipeline(capsys, tmp_path):
     assert report["result"]["unassigned"] == 2
 
 
+@pytest.mark.parametrize("n, code", [("9", 3), ("3", 1)], ids=["above-cap", "below-pattern"])
+def test_encode_size_errors_exit_codes(capsys, n, code):
+    # above the placement cap is the resource-cap code, as for search
+    got, out, err = run(capsys, "encode", "--n", n, "--pattern", "p4")
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_saturate_dimension_mismatch(capsys, tmp_path):
     formula_path = tmp_path / "p4.dnf"
     run(capsys, "encode", "--n", "4", "--pattern", "p4", "--out", str(formula_path))

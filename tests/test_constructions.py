@@ -124,6 +124,10 @@ def test_alternative_structure_at_6():
         assert t.color(z, 3) is BLACK and t.color(z, 4) is BLACK
         assert t.color(z, 2) is WHITE
     assert all(t.color(w, 5) is WHITE for w in range(5))
+    # above n=6, Z on the first n-4 vertices is the complemented layered trigraph
+    for n in range(9, 31, 3):
+        z = construct_alternative(n).induced(range(n - 4))[0]
+        assert z == construct_tn(n - 4)[0].complement(), n
 
 
 def test_alternative_gray_counts_and_saturation():

@@ -172,7 +172,7 @@ def test_generic_patterns_against_brute():
         assert has_realization_of(t, h) == has_realization_brute(t, h)
 
 
-def test_generic_search_with_inconsistent_anchors_finds_nothing():
+def test_generic_search_places_its_anchors_unchecked():
     from indsat.detect import _compat_masks, _find_generic, _plan
 
     t = from_pairs(4, black=[(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])  # (0, 1) white
@@ -181,8 +181,11 @@ def test_generic_search_with_inconsistent_anchors_finds_nothing():
     nonedges, (anchored,) = _plan(K3).through
     assert nonedges == ()
     assert anchored[0][:2] == (0, 1)
-    # a triangle through the white pair: None, not a falsy non-None value
-    assert _find_generic(bg, wg, 4, anchored, (0, 1)) is None
+    # the anchored white pair is taken as usable: the triangle through it
+    # is found as if the pair were black
+    as_black = _compat_masks(from_pairs(4, black=[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]))
+    assert _find_generic(bg, wg, 4, anchored, (0, 1)) == (0, 1, 2)
+    assert _find_generic(*as_black, 4, anchored, (0, 1)) == (0, 1, 2)
     assert _find_generic(bg, wg, 4, anchored, (0, 2)) == (0, 2, 3)
 
 

@@ -36,6 +36,8 @@ def test_encode_scales():
     assert len(dnf.encode_pattern(5, P4).clauses) == 60
     with pytest.raises(ValueError):
         dnf.encode_pattern(3, P4)  # pattern larger than the vertex set
+    with pytest.raises(ResourceLimitError):
+        dnf.encode_pattern(9, P4)  # above the placement cap
 
 
 def test_formula_validation():

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from indsat.errors import ResourceLimitError
 from indsat.patterns import (
     C4,
     K3,
@@ -99,6 +100,8 @@ def test_placements_scale_with_subsets():
     assert len(induced_placements(6, P4)) == 15 * 12
     assert induced_placements(3, K3) == ((0b111, 0),)
     assert induced_placements(3, P4) == ()
+    with pytest.raises(ResourceLimitError):
+        induced_placements(9, P4)
 
 
 def test_placements_literal_balance_generic():
