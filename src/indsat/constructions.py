@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from math import comb
 
-from .trigraph import Trigraph, complete_gray, from_pairs
+from .trigraph import MAX_VERTICES, Trigraph, complete_gray, from_pairs
 
 VARIANTS = ("paper", "alt")
 
@@ -45,9 +45,9 @@ def _roles(n: int) -> tuple[int, list[str]]:
 
 
 def construct_tn(n: int) -> tuple[Trigraph, ConstructionSpec]:
-    """The layered construction on n >= 4 vertices; gray count ceil((n+1)/3)."""
-    if n < 4:
-        raise ValueError("the layered construction needs at least 4 vertices")
+    """The layered construction on 4 <= n <= 64 vertices; gray count ceil((n+1)/3)."""
+    if not 4 <= n <= MAX_VERTICES:
+        raise ValueError(f"the layered construction needs 4 <= n <= {MAX_VERTICES}, got n={n}")
     k, roles = _roles(n)
     labeling = {role: idx for idx, role in enumerate(roles)}
 
@@ -93,8 +93,10 @@ def construct_alternative(n: int) -> Trigraph:
     Z.  The complement restores that partner for every vertex while
     keeping the gray count and the saturation property.
     """
-    if n % 3 != 0 or n < 6:
-        raise ValueError("the alternative construction needs n divisible by 3, n >= 6")
+    if n % 3 != 0 or not 6 <= n <= MAX_VERTICES:
+        raise ValueError(
+            f"the alternative construction needs n divisible by 3, 6 <= n <= {MAX_VERTICES}, got n={n}"
+        )
     nz = n - 4
     z = complete_gray(2) if nz == 2 else construct_tn(nz)[0].complement()
     u, v1, v2 = nz, nz + 1, nz + 2  # plus the all-white vertex n-1

@@ -357,10 +357,9 @@ def _plan(h: PatternGraph) -> _Plan:
 def _find_generic(
     bg: list[int],
     wg: list[int],
-    n: int,
+    twins: list[int],
     plan: tuple,
     anchors: tuple[int, ...] = (),
-    twins: Optional[list[int]] = None,
 ) -> Optional[tuple[int, ...]]:
     """Depth-first injection search for arbitrary patterns (k <= 8), or None.
 
@@ -373,17 +372,12 @@ def _find_generic(
     hold the image and the untried candidates of each depth; a candidate
     is taken as the lowest set bit, and once taken its whole twin class
     leaves that depth's untried candidates (the lemma in the module
-    docstring).  twins are the `_twin_masks` of these masks, or of the
-    trigraph they differ from in the pair of the first two anchors; by
-    default they are found from bg and wg.  Returns the images indexed by
-    pattern vertex.
+    docstring).  Returns the images indexed by pattern vertex.
     """
     order, checks = plan
-    k = len(order)
+    k, n = len(order), len(bg)
     if k > n:
         return None
-    if twins is None:
-        twins = _twin_masks(bg, wg)
     images = list(anchors) + [0] * (k - len(anchors))  # by depth, not by pattern vertex
     full = (1 << n) - 1
     cands = [0] * k  # untried candidates by depth
@@ -409,62 +403,53 @@ def _find_generic(
 
 
 def _find_injection(
-    t: Trigraph,
-    h: PatternGraph,
-    masks: Optional[tuple[list[int], list[int]]] = None,
-    twins: Optional[list[int]] = None,
+    bg: list[int], wg: list[int], twins: list[int], plan: _Plan
 ) -> Optional[tuple[int, ...]]:
-    """Injection of h into some realization of t, or None.
+    """Injection of a pattern into some realization of a trigraph, or None.
 
-    masks are t's `_compat_masks` and twins their `_twin_masks`, each
-    built here when not given.
+    Takes the search inputs of `_find_injection_through`, and searches
+    with the pattern's unanchored plan (condition (a)).
     """
-    if h.k > t.n:
-        return None
-    bg, wg = _compat_masks(t) if masks is None else masks
-    if twins is None:
-        twins = _twin_masks(bg, wg)
-    plan = _plan(h)
     if plan.p4 is not None:
         found = _find_p4(bg, wg, twins)
         return None if found is None else plan.p4(found)
-    return _find_generic(bg, wg, t.n, plan.whole, (), twins)
+    return _find_generic(bg, wg, twins, plan.whole)
 
 
 def _find_injection_through(
     bg: list[int],
     wg: list[int],
-    n: int,
+    twins: list[int],
     plan: _Plan,
     x: int,
     y: int,
     edge: bool,
-    twins: Optional[list[int]] = None,
 ) -> Optional[tuple[int, ...]]:
     """Injection mapping a pattern edge (edge true) or nonedge onto {x, y}, or None.
 
-    Works on the compatibility masks and the pattern's `_plan` alone, so a
-    caller checking many flips fetches both once.  Both kernels take
-    {x, y} to be usable in its role, as it is once flipped gray, and the
-    masks may be those of T with the pair still in its old color; no row
-    is written.  Lemma: flipping {x, y} changes only bit y of row x and
-    bit x of row y.  Every set the P4 kernel builds from those rows
-    excludes x and y.  The generic search places x and y unchecked, and
-    every later candidate set excludes them.  So each search gives the same
+    Every injection search takes the same inputs, all required and only
+    read: bg and wg are a trigraph's `_compat_masks` (n is len(bg)),
+    twins their `_twin_masks`, and plan the pattern's `_plan`.  A caller
+    checking many flips builds each once.  Both kernels take {x, y} to
+    be usable in its role, as it is once flipped gray, and the masks may
+    be those of T with the pair still in its old color; no row is
+    written.  Lemma: flipping {x, y} changes only bit y of row x and bit
+    x of row y.  Every set the P4 kernel builds from those rows excludes
+    x and y.  The generic search places x and y unchecked, and every
+    later candidate set excludes them.  So each search gives the same
     answer on T's masks as on the flip's, and the masks are read-only for
     a whole flip scan, for every pattern.  The generic search anchors one
     ordered pattern pair per Aut(h)-orbit of that role's pairs, in the
-    order of `anchor_pair_orbits`, and is pruned by twins, passed on to
-    `_find_generic`: the `_twin_masks` of the trigraph before the flip
-    (sound since x and y are anchored).  A P4 kernel's path needs four
-    distinct vertices, so it finds none when n < 4, as `_find_generic`
-    does for any pattern larger than n.
+    order of `anchor_pair_orbits`, and is pruned by twins: T's serve for
+    the flip too, since x and y are anchored.  A P4 kernel's path needs
+    four distinct vertices, so it finds none when n < 4, as
+    `_find_generic` does for any pattern larger than n.
     """
     if plan.p4 is not None:
         found = _find_p4_through(bg, wg, x, y, edge)
         return None if found is None else plan.p4(found)
     for anchored in plan.through[edge]:
-        found = _find_generic(bg, wg, n, anchored, (x, y), twins)
+        found = _find_generic(bg, wg, twins, anchored, (x, y))
         if found is not None:
             return found
     return None
@@ -514,7 +499,8 @@ def embedding_is_valid(t: Trigraph, h: PatternGraph, emb: Embedding) -> bool:
 
 def find_embedding(t: Trigraph, h: PatternGraph) -> Optional[Embedding]:
     """A witness embedding of h into some realization of t, or None."""
-    images = _find_injection(t, h)
+    bg, wg = _compat_masks(t)
+    images = _find_injection(bg, wg, _twin_masks(bg, wg), _plan(h))
     if images is None:
         return None
     return _embedding_from(t, h, images)
@@ -522,4 +508,4 @@ def find_embedding(t: Trigraph, h: PatternGraph) -> Optional[Embedding]:
 
 def has_realization_of(t: Trigraph, h: PatternGraph) -> bool:
     """True iff some realization of t contains h as an induced subgraph."""
-    return _find_injection(t, h) is not None
+    return find_embedding(t, h) is not None

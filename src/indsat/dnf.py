@@ -10,10 +10,10 @@ Because a DNF clause never repeats a variable, a completion satisfying a
 clause exists iff the current assignment falsifies none of its literals;
 this clause-local check is exact and mirrors the per-pair locality of
 realization detection.  ``is_saturated`` applies it to one assignment.
-``_saturated_true_masks`` applies it to every assignment of one free set
-at once, as a numpy kernel over an array of true-masks.  The clauses
-enter as two int64 arrays, support and positive masks
-(``_clause_arrays``), built once per formula.  A screen (``_screen``)
+A numpy kernel applies it to every assignment of one free set at once,
+over an array of true-masks.  The clauses enter as two int64 arrays,
+support and positive masks (``_clause_arrays``), built once per
+formula.  A screen (``_screen``)
 restricts them to the assigned variables, sorts them by their highest
 assigned variable (their top), grows the array one assigned variable at
 a time and, after placing v, drops the rows leaving completable a clause
@@ -376,17 +376,6 @@ def _min_images(true: np.ndarray, images: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(least[1:], least[:-1], out=keep[1:])
     return least[keep]
-
-
-def _saturated_true_masks(f: DnfFormula, free_mask: int) -> np.ndarray:
-    """True-masks of the saturated assignments whose unassigned set is free_mask.
-
-    The screen (``_screen``) keeps the rows that satisfy condition (1), and
-    the coverage pass (``_covered``) those that also satisfy condition (2).
-    """
-    assigned = ((1 << f.m) - 1) & ~free_mask
-    true, clauses, _ = _screen(_clause_arrays(f), assigned)
-    return _covered(true, clauses, assigned)
 
 
 def _covered(true: np.ndarray, clauses: GroupedClauses, assigned: int) -> np.ndarray:

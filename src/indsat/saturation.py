@@ -39,11 +39,13 @@ white).  An injection that maps a pattern edge onto a black p, or a
 nonedge onto a white p, uses p as T already colors it and every other
 pair unchanged, so it is an injection into T, which (a) rules out.
 
-The flip loop never edits T's compatibility masks: each flip is
-searched on them as they are.  The flip changes only the two bits of p
-in its new role's mask, and neither search answers differently for
-them (the lemma in `detect._find_injection_through`), so the masks are
-read-only for the scan, for every pattern.
+Every injection search of the check, condition (a)'s and each flip's,
+takes the same inputs, all built once per check and only read: T's
+compatibility masks (bg, wg), their twin classes and the pattern's plan
+(see `detect._find_injection_through`).  The flip loop never edits the
+masks: each flip is searched on T's as they are.  The flip changes only
+the two bits of p in its new role's mask, and neither search answers
+differently for them (the lemma in `detect._find_injection_through`).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from . import detect
 from .detect import (
@@ -99,30 +101,6 @@ class SaturationReport:
         }
 
 
-def flip_orbits(bg: list[int], wg: list[int], twins: list[int]) -> Iterator[tuple[int, int, int, int]]:
-    """One (u, v, A, B) per orbit of non-gray pairs, in colex order of (u, v).
-
-    twins are the caller's `detect._twin_masks` of (bg, wg).  The orbit of
-    the pairs between two twin classes A and B is A x B, with
-    representative (min A, min B); the orbit of the pairs inside a class A
-    (then B is A) has representative its two least vertices.  A and B are
-    the classes' masks.  Each representative is the colex-least pair of
-    its orbit, and an orbit is gray exactly when its representative is.
-    Each class head's non-gray row bg ^ wg is read once, and the orbits
-    are generated one at a time, so a scan that stops early builds no
-    more of them.
-    """
-    return _orbit_pairs(twins, [b ^ w for b, w in zip(bg, wg)])
-
-
-class FlipScan(NamedTuple):
-    """What a condition-(b) scan did: orbits searched, pairs they cover, witnesses."""
-
-    searched: int
-    pairs: int
-    witnesses: Optional[dict[tuple[int, int], Embedding]]
-
-
 def _swap(x: int, p: int, q: int) -> int:
     return q if x == p else p if x == q else x
 
@@ -133,7 +111,7 @@ def flips_all_create(
     masks: tuple[list[int], list[int]],
     twins: list[int],
     collect: bool = False,
-) -> tuple[Optional[tuple[int, int]], FlipScan]:
+) -> SaturationReport:
     """Condition (b): every non-gray pair, once flipped, admits an induced h.
 
     Assumes condition (a) holds for t, which makes it sound to search
@@ -144,16 +122,18 @@ def flips_all_create(
     pair is searched as a pattern nonedge and a white pair as an edge.
     masks is t's (bg, wg) pair from `detect._compat_masks` and twins its
     `detect._twin_masks`, both built by the caller; the pattern's plan is
-    fetched once.  Only the representative of each flip orbit (see
-    `flip_orbits`) is searched, pruned by t's twins, and on t's masks as
-    they are: no search writes them, and `_find_injection_through`
-    answers for the flip from them (the lemma in its docstring).  With
-    collect, the images found for a representative (u, v) are carried
-    to each pair (x, y) of its orbit by the twin swaps (u x), then
-    (v' y) with v' the image of v under the first swap; together they
-    send u to x and v to y.
-    Returns (first failing pair or None, the scan's counts and, if
-    collect, one witness per non-gray pair before the failing pair).
+    fetched once.  The flip orbits are the twin orbits of the non-gray
+    pairs (`detect._orbit_pairs` over the rows bg ^ wg), each given by its
+    colex-least pair (u, v) and its two classes' masks A and B, in colex
+    order of (u, v), and generated one at a time.  Only (u, v) is
+    searched, with `_find_injection_through`'s inputs (see its
+    docstring).  With collect, the images found for a representative
+    (u, v) are carried to each pair (x, y) of its orbit by the twin swaps
+    (u x), then (v' y) with v' the image of v under the first swap;
+    together they send u to x and v to y.
+    Returns the check's report, with holds_free set: the first failing
+    pair or None, the scan's counts and, if collect, one witness per
+    non-gray pair before the failing pair.
     """
     found: dict[tuple[int, int], Embedding] = {}
     searched = pairs = 0
@@ -161,9 +141,10 @@ def flips_all_create(
     bg, wg = masks
     plan = detect._plan(h)
     failing = None
-    for u, v, a, b in flip_orbits(bg, wg, twins):
+    nongray = [black_or_gray ^ white_or_gray for black_or_gray, white_or_gray in zip(bg, wg)]
+    for u, v, a, b in _orbit_pairs(twins, nongray):
         # a black pair is searched as a pattern nonedge, a white one as an edge
-        images = _find_injection_through(bg, wg, t.n, plan, u, v, not bg[u] >> v & 1, twins)
+        images = _find_injection_through(bg, wg, twins, plan, u, v, not bg[u] >> v & 1)
         searched += 1
         size = a.bit_count()
         pairs += size * (size - 1) // 2 if a == b else size * b.bit_count()
@@ -181,7 +162,7 @@ def flips_all_create(
         end = pair_count(t.n) if failing is None else pair_index(*failing)
         colex = sorted((pair_index(*p), p) for p in found)
         witnesses = {p: found[p] for i, p in colex if i < end}
-    return failing, FlipScan(searched, pairs, witnesses)
+    return SaturationReport(True, failing, witnesses, searched, pairs)
 
 
 def is_indsat(t: Trigraph, h: PatternGraph, want_witnesses: bool = False) -> SaturationReport:
@@ -193,10 +174,9 @@ def is_indsat(t: Trigraph, h: PatternGraph, want_witnesses: bool = False) -> Sat
     """
     masks = detect._compat_masks(t)
     twins = detect._twin_masks(*masks)
-    if _find_injection(t, h, masks, twins) is not None:
+    if _find_injection(*masks, twins, detect._plan(h)) is not None:
         return SaturationReport(holds_free=False, failing_flip=None)
-    failing, scan = flips_all_create(t, h, masks, twins, collect=want_witnesses)
-    return SaturationReport(True, failing, scan.witnesses, scan.searched, scan.pairs)
+    return flips_all_create(t, h, masks, twins, collect=want_witnesses)
 
 
 # -- gray component structure ------------------------------------------

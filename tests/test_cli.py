@@ -251,6 +251,16 @@ def test_construct_variant_choices_are_the_library_variants(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("variant", ["paper", "alt"])
+@pytest.mark.parametrize("n", ["65", "3000"])
+def test_construct_above_the_vertex_cap_exits_1_at_once(capsys, n, variant):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "--n", n, "--variant", variant)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"got n={n}" in err
+
+
 def test_pattern_file(capsys, tmp_path):
     pat = tmp_path / "p3.pat"
     pat.write_text("pattern 3\n0 1\n1 2\n", encoding="utf-8")

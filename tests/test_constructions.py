@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from indsat.constructions import (
@@ -67,6 +69,16 @@ def test_construct_tn_rejects_small_n():
     for n in (-1, 0, 3):
         with pytest.raises(ValueError):
             construct_tn(n)
+
+
+@pytest.mark.parametrize("n", [65, 3000])
+def test_constructions_reject_n_above_the_vertex_cap_at_once(n):
+    # the requested n is checked before any pair list is built, and named
+    for build in (construct_tn, construct_alternative):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"got n={n}$"):
+            build(n)
+        assert time.perf_counter() - start < 0.5, build
 
 
 def test_half_graph_inside_construction():

@@ -173,7 +173,7 @@ def test_generic_patterns_against_brute():
 
 
 def test_generic_search_places_its_anchors_unchecked():
-    from indsat.detect import _compat_masks, _find_generic, _plan
+    from indsat.detect import _compat_masks, _find_generic, _plan, _twin_masks
 
     t = from_pairs(4, black=[(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])  # (0, 1) white
     bg, wg = _compat_masks(t)
@@ -184,9 +184,10 @@ def test_generic_search_places_its_anchors_unchecked():
     # the anchored white pair is taken as usable: the triangle through it
     # is found as if the pair were black
     as_black = _compat_masks(from_pairs(4, black=[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]))
-    assert _find_generic(bg, wg, 4, anchored, (0, 1)) == (0, 1, 2)
-    assert _find_generic(*as_black, 4, anchored, (0, 1)) == (0, 1, 2)
-    assert _find_generic(bg, wg, 4, anchored, (0, 2)) == (0, 2, 3)
+    twins = _twin_masks(bg, wg)
+    assert _find_generic(bg, wg, twins, anchored, (0, 1)) == (0, 1, 2)
+    assert _find_generic(*as_black, _twin_masks(*as_black), anchored, (0, 1)) == (0, 1, 2)
+    assert _find_generic(bg, wg, twins, anchored, (0, 2)) == (0, 2, 3)
 
 
 def test_search_plan_checks_every_earlier_depth():

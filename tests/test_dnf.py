@@ -144,6 +144,18 @@ def formulas(draw, max_m):
     return dnf.DnfFormula(m, tuple(sorted(clauses)))
 
 
+def _saturated_true_masks(f, free_mask):
+    """True-masks of the saturated assignments whose unassigned set is free_mask.
+
+    The library's numpy kernel on one free set: the screen (``_screen``)
+    keeps the rows that satisfy condition (1), and the coverage pass
+    (``_covered``) those that also satisfy condition (2).
+    """
+    assigned = ((1 << f.m) - 1) & ~free_mask
+    true, clauses, _ = dnf._screen(dnf._clause_arrays(f), assigned)
+    return dnf._covered(true, clauses, assigned)
+
+
 def _assignments(m, free):
     """Every full assignment of the variables outside free."""
     assigned = ((1 << m) - 1) & ~free
@@ -154,7 +166,7 @@ def _assignments(m, free):
 
 def _assert_kernel_matches_scalar_and_brute_checks(f):
     for free in range(1 << f.m):
-        got = sorted(dnf._saturated_true_masks(f, free).tolist())
+        got = sorted(_saturated_true_masks(f, free).tolist())
         scalar = [a.true_mask for a in _assignments(f.m, free) if dnf.is_saturated(f, a)]
         assert got == scalar
         brute = [a.true_mask for a in _assignments(f.m, free) if dnf.is_saturated_brute(f, a)]
@@ -340,7 +352,7 @@ def test_sweep_matches_kernel_and_brute_checks(f):
     answer = min((free.bit_count() for free, rows in brute.items() if rows), default=f.m + 1)
     for free, rows in brute.items():
         if free in swept:
-            assert swept[free] == dnf._saturated_true_masks(f, free).tolist() == rows
+            assert swept[free] == _saturated_true_masks(f, free).tolist() == rows
         else:
             assert free.bit_count() >= answer or all(
                 dnf.satisfiable_completion_exists_brute(f, a) for a in _assignments(f.m, free)
@@ -392,8 +404,8 @@ def test_sweep_first_saturated_set_follows_a_pruned_subtree():
 
 def test_kernel_fixed_cases():
     either = dnf.DnfFormula(2, ((0b01, 0), (0b10, 0)))  # x1 or x2
-    assert dnf._saturated_true_masks(either, 0b01).size == 0  # the clause x1 is all free
-    assert dnf._saturated_true_masks(either, 0).tolist() == [0]
+    assert _saturated_true_masks(either, 0b01).size == 0  # the clause x1 is all free
+    assert _saturated_true_masks(either, 0).tolist() == [0]
     assert dnf.min_unassigned(either) == 0
     empty = dnf.DnfFormula(3, ())
     assert dnf.min_unassigned(empty) == 3

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import indsat.detect
 import indsat.saturation
 from indsat.constructions import construct_alternative, construct_tn
-from indsat.detect import embedding_is_valid, has_realization_brute, has_realization_of
+from indsat.detect import embedding_is_valid, find_embedding, has_realization_brute, has_realization_of
 from indsat.patterns import (
     C4,
     K3,
@@ -28,7 +28,6 @@ from indsat.patterns import (
 from indsat.saturation import (
     GrayShape,
     classify_gray_components,
-    flip_orbits,
     flips_all_create,
     is_indsat,
     partition_star,
@@ -77,7 +76,7 @@ def brute_report(t, h):
 # -- unpruned references for the twin-pruned searches ----------------------
 
 
-def unpruned_generic(bg, wg, n, plan, anchors=(), twins=None):
+def unpruned_generic(bg, wg, twins, plan, anchors=()):
     """The generic search as it was before twin pruning: every candidate in turn.
 
     Like `detect._find_generic` it places the anchors unchecked, so the
@@ -85,7 +84,7 @@ def unpruned_generic(bg, wg, n, plan, anchors=(), twins=None):
     that this can stand in for `detect._find_generic`.
     """
     order, checks = plan
-    k = len(order)
+    k, n = len(order), len(bg)
     if k > n:
         return None
     images = list(anchors) + [0] * (k - len(anchors))
@@ -111,8 +110,11 @@ def unpruned_generic(bg, wg, n, plan, anchors=(), twins=None):
     return tuple(found)
 
 
-def colex_p4(bg, wg, twins=None):
-    """The P4 kernel's condition-(a) scan over every black/gray middle pair, in colex order."""
+def colex_p4(bg, wg, twins):
+    """The P4 kernel's condition-(a) scan over every black/gray middle pair, in colex order.
+
+    twins is accepted and ignored, so that this can stand in for `detect._find_p4`.
+    """
     for v3 in range(len(bg)):
         below = bg[v3] & ((1 << v3) - 1)
         while below:
@@ -130,20 +132,27 @@ def reference_injection(t, h):
     if h.k > t.n:
         return None
     bg, wg = indsat.detect._compat_masks(t)
+    twins = indsat.detect._twin_masks(bg, wg)
     plan = indsat.detect._plan(h)
     if plan.p4 is not None:
-        found = colex_p4(bg, wg)
+        found = colex_p4(bg, wg, twins)
         return None if found is None else plan.p4(found)
-    return unpruned_generic(bg, wg, t.n, plan.whole)
+    return unpruned_generic(bg, wg, twins, plan.whole)
 
 
-def reference_through(bg, wg, n, plan, x, y, edge):
+def found_images(t, h):
+    """The images of `find_embedding`, by pattern vertex, or None."""
+    emb = find_embedding(t, h)
+    return None if emb is None else emb.vertices
+
+
+def reference_through(bg, wg, twins, plan, x, y, edge):
     """`detect._find_injection_through` by the unpruned generic search."""
     if plan.p4 is not None:
         found = indsat.detect._find_p4_through(bg, wg, x, y, edge)
         return None if found is None else plan.p4(found)
     for anchored in plan.through[edge]:
-        found = unpruned_generic(bg, wg, n, anchored, (x, y))
+        found = unpruned_generic(bg, wg, twins, anchored, (x, y))
         if found is not None:
             return found
     return None
@@ -332,8 +341,9 @@ def test_p4_kernel_agrees_with_anchored_generic_search(t, data):
         # the pair usable in the searched role only: black for an edge, white for a nonedge
         colored = recolored(t, x, y, BLACK if edge else WHITE)
         bg, wg = indsat.detect._compat_masks(colored)
+        twins = indsat.detect._twin_masks(bg, wg)
         path = indsat.detect._find_p4_through(bg, wg, x, y, edge)
-        anchored = [indsat.detect._find_generic(bg, wg, t.n, plan, (x, y)) for plan in plans[edge]]
+        anchored = [indsat.detect._find_generic(bg, wg, twins, plan, (x, y)) for plan in plans[edge]]
         assert (path is not None) == any(found is not None for found in anchored)
         for images in [path] + anchored:
             if images is not None:
@@ -379,11 +389,12 @@ def test_flip_is_searched_only_in_its_new_role(case):
         if color is GRAY:
             continue
         bg, wg = indsat.detect._compat_masks(t.flip(x, y))
+        twins = indsat.detect._twin_masks(bg, wg)
         both = [
-            indsat.detect._find_generic(bg, wg, t.n, anchored, (x, y))
+            indsat.detect._find_generic(bg, wg, twins, anchored, (x, y))
             for anchored in plan.through[False] + plan.through[True]
         ]
-        new = indsat.detect._find_injection_through(bg, wg, t.n, plan, x, y, color is WHITE)
+        new = indsat.detect._find_injection_through(bg, wg, twins, plan, x, y, color is WHITE)
         assert (new is not None) == any(found is not None for found in both), (x, y)
 
 
@@ -488,6 +499,13 @@ def test_orbit_flip_loop_matches_per_pair_loop_on_blow_ups(t, data):
         assert (rep.holds_free, rep.failing_flip) == brute_report(t, h), (h, t)
 
 
+def flip_orbits(t):
+    """The flip scan's orbits of t: `detect._orbit_pairs` over the non-gray rows bg ^ wg."""
+    bg, wg = indsat.detect._compat_masks(t)
+    twins = indsat.detect._twin_masks(bg, wg)
+    return indsat.detect._orbit_pairs(twins, [b ^ w for b, w in zip(bg, wg)])
+
+
 def are_twins(t, u, v):
     return all(t.color(u, w) is t.color(v, w) for w in range(t.n) if w not in (u, v))
 
@@ -525,8 +543,7 @@ def test_twin_classes_are_exactly_the_twins(t, data):
 @given(twin_blow_ups())
 def test_flip_orbits_partition_the_nongray_pairs(t):
     reps, covered = [], []
-    masks = indsat.detect._compat_masks(t)
-    for u, v, a, b in flip_orbits(*masks, indsat.detect._twin_masks(*masks)):
+    for u, v, a, b in flip_orbits(t):
         inside = a == b
         a, b = members(a), members(b)
         orbit = sorted(
@@ -559,8 +576,7 @@ def gray_star_plus_isolated(n):
     ids=["tn64", "alternative63", "k4-book64", "k3-star64"],
 )
 def test_flip_orbit_counts_at_n64(t, orbits):
-    masks = indsat.detect._compat_masks(t)
-    assert len(list(flip_orbits(*masks, indsat.detect._twin_masks(*masks)))) == orbits
+    assert len(list(flip_orbits(t))) == orbits
 
 
 def test_flip_loop_searches_one_pair_per_orbit(monkeypatch):
@@ -569,10 +585,10 @@ def test_flip_loop_searches_one_pair_per_orbit(monkeypatch):
 
     roles = []
 
-    def counting(bg, wg, n, plan, x, y, edge, twins):
+    def counting(bg, wg, twins, plan, x, y, edge):
         calls.append((x, y))
         roles.append(edge)
-        return real(bg, wg, n, plan, x, y, edge, twins)
+        return real(bg, wg, twins, plan, x, y, edge)
 
     monkeypatch.setattr(indsat.saturation, "_find_injection_through", counting)
     rep = is_indsat(construct_tn(64)[0], P4)
@@ -627,7 +643,7 @@ def test_twin_pruned_searches_return_the_unpruned_results(t, data):
     free = [h for h in TWIN_PATTERNS if not has_realization_of(t, h)]
     h = data.draw(st.sampled_from(free if free and data.draw(st.booleans()) else TWIN_PATTERNS))
     # condition (a), as find_embedding sees it
-    assert indsat.detect._find_injection(t, h) == reference_injection(t, h), (h, t)
+    assert found_images(t, h) == reference_injection(t, h), (h, t)
     # every non-gray pair flipped and searched in both roles and orders,
     # pruned by the classes of t (as the flip loop does) or of the flip
     twins = indsat.detect._twin_masks(*indsat.detect._compat_masks(t))
@@ -637,10 +653,11 @@ def test_twin_pruned_searches_return_the_unpruned_results(t, data):
         if t.color(*pair) is GRAY:
             continue
         bg, wg = indsat.detect._compat_masks(t.flip(*pair))
+        flipped_twins = indsat.detect._twin_masks(bg, wg)
         for (x, y), edge in product((pair, pair[::-1]), (False, True)):
-            expected = reference_through(bg, wg, t.n, plan, x, y, edge)
-            assert through(bg, wg, t.n, plan, x, y, edge, twins) == expected, (h, t, x, y, edge)
-            assert through(bg, wg, t.n, plan, x, y, edge) == expected, (h, t, x, y, edge)
+            expected = reference_through(bg, wg, twins, plan, x, y, edge)
+            assert through(bg, wg, twins, plan, x, y, edge) == expected, (h, t, x, y, edge)
+            assert through(bg, wg, flipped_twins, plan, x, y, edge) == expected, (h, t, x, y, edge)
     rep, ref = is_indsat(t, h, want_witnesses=True), reference_is_indsat(t, h, want_witnesses=True)
     assert rep.to_dict() == ref.to_dict(), (h, t)
     assert rep.witness_flips == ref.witness_flips, (h, t)
@@ -650,7 +667,7 @@ def test_pruned_condition_a_matches_unpruned_exhaustive_n4():
     for h in THREE_VERTEX_PATTERNS + GRAPHS_ON_4:
         for n in range(2, 5):
             for t in all_trigraphs(n):
-                assert indsat.detect._find_injection(t, h) == reference_injection(t, h), (h, t)
+                assert found_images(t, h) == reference_injection(t, h), (h, t)
 
 
 def test_p4_kernel_answers_from_the_colex_least_middle_pair():
@@ -658,7 +675,7 @@ def test_p4_kernel_answers_from_the_colex_least_middle_pair():
     t = from_pairs(4, black=[(0, 1), (0, 3)], gray=[(1, 2), (2, 3)])
     assert classes_of(t) == [(0,), (1, 3), (2,)]
     # the path 3-0-1-2 through the colex-least pair, not 1-0-3-2
-    assert indsat.detect._find_injection(t, P4) == reference_injection(t, P4) == (3, 0, 1, 2)
+    assert found_images(t, P4) == reference_injection(t, P4) == (3, 0, 1, 2)
 
 
 @pytest.mark.parametrize(
@@ -676,7 +693,7 @@ def test_p4_kernel_tries_one_middle_pair_per_orbit(monkeypatch, t, orbits, pairs
 
     monkeypatch.setattr(indsat.detect, "_linked", counting)
     # P4-free, so condition (a) tries every middle pair it is given
-    assert indsat.detect._find_injection(t, P4) is None
+    assert found_images(t, P4) is None
     assert len(calls) == orbits
     calls.clear()
     assert reference_injection(t, P4) is None
@@ -703,7 +720,7 @@ def row_reads(search, t, h, anchors=()):
     count = [0]
     bg, wg = (CountingRows(rows, count) for rows in masks)
     anchored = plan.through[True][0] if anchors else plan.whole
-    return search(bg, wg, t.n, anchored, anchors, twins), count[0]
+    return search(bg, wg, twins, anchored, anchors), count[0]
 
 
 @pytest.mark.parametrize(
@@ -779,7 +796,7 @@ def test_flip_searches_answer_alike_on_the_unflipped_masks(t, h):
             path = indsat.detect._find_p4_through(*masks, x, y, edge)
             assert path == indsat.detect._find_p4_through(*flipped, x, y, edge), (t, x, y, edge)
             anchored = (
-                indsat.detect._find_generic(*flipped, t.n, order, (x, y), twins)
+                indsat.detect._find_generic(*flipped, twins, order, (x, y))
                 for order in plan.through[edge]
             )
             expected = next((found for found in anchored if found is not None), None)
@@ -787,7 +804,7 @@ def test_flip_searches_answer_alike_on_the_unflipped_masks(t, h):
                 expected = None if path is None else plan.p4(path)
             for given in (masks, flipped):
                 read_only = (ReadOnlyRows(rows) for rows in given)
-                found = indsat.detect._find_injection_through(*read_only, t.n, plan, x, y, edge, twins)
+                found = indsat.detect._find_injection_through(*read_only, twins, plan, x, y, edge)
                 assert found == expected, (h, t, x, y, edge)
 
 
@@ -801,12 +818,12 @@ def test_flip_scan_leaves_the_masks_unchanged(monkeypatch, t, h, failing):
     before = [list(rows) for rows in masks]
     twins = indsat.detect._twin_masks(*masks)
     # the K3 star's scan finds the leaf pairs' flips, then exits at the failing flip
-    found, scan = flips_all_create(t, h, masks, twins, collect=True)
-    assert found == failing and scan.searched > 1
+    report = flips_all_create(t, h, masks, twins, collect=True)
+    assert report.failing_flip == failing and report.flips_searched > 1
     assert [list(rows) for rows in masks] == before
     # no scan writes a row, whatever the pattern
     read_only = tuple(ReadOnlyRows(rows) for rows in masks)
-    assert flips_all_create(t, h, read_only, twins, collect=True) == (found, scan)
+    assert flips_all_create(t, h, read_only, twins, collect=True) == report
     built = []
     real = indsat.detect._compat_masks
 
@@ -937,6 +954,17 @@ def test_below_pattern_size_only_all_gray_survives():
         for t in all_trigraphs(n):
             expected = t.gray_count == pair_count(n)
             assert is_indsat(t, P4).is_indsat == expected
+
+
+@pytest.mark.parametrize("h", [P4, PAW, complete_graph(4)], ids=["p4-kernel", "paw", "k4"])
+def test_no_search_places_a_pattern_larger_than_the_trigraph(h):
+    # no search guards n < |V(h)|: the P4 kernels need four distinct
+    # vertices, and the generic search returns None when k > n
+    for n in range(4):
+        for t in all_trigraphs(n):
+            assert find_embedding(t, h) is None, (h, t)
+            assert not has_realization_of(t, h), (h, t)
+            assert is_indsat(t, h).is_indsat == (t.gray_count == pair_count(n)), (h, t)
 
 
 def test_complement_closure_exhaustive_n4():
