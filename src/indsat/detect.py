@@ -376,8 +376,6 @@ def _find_generic(
     """
     order, checks = plan
     k, n = len(order), len(bg)
-    if k > n:
-        return None
     images = list(anchors) + [0] * (k - len(anchors))  # by depth, not by pattern vertex
     full = (1 << n) - 1
     cands = [0] * k  # untried candidates by depth

@@ -111,16 +111,6 @@ def check_partitions(t: Trigraph) -> list[str]:
             out.append(
                 f"component {comp.vertices}: vertex {outcome.counterexample} fits no class"
             )
-    # a two-vertex star must also partition with the other center choice
-    for comp in classify_gray_components(t):
-        if comp.shape is GrayShape.STAR and comp.size == 2:
-            other = max(comp.vertices)
-            outcome = partition_star(t, other, [min(comp.vertices)])
-            if not outcome.ok:
-                out.append(
-                    f"component {comp.vertices} (center {other}): "
-                    f"vertex {outcome.counterexample} fits no class"
-                )
     return out
 
 

@@ -53,6 +53,13 @@ def test_partition_check_flags_mixed_triangle_vertex():
     assert check_partitions(t)
 
 
+def test_partition_check_reports_a_two_vertex_star_once():
+    # swapping the center and the leaf of a two-vertex star only swaps the
+    # two colours of every Z pattern, so one partition decides it
+    t = from_pairs(4, gray=[(0, 1)], black=[(0, 2), (1, 3)])
+    assert check_partitions(t) == ["component (0, 1): vertex 3 fits no class"]
+
+
 def test_gray_edge_check_flags_grayless():
     t = Trigraph(3, black=(1 << pair_count(3)) - 1)
     assert check_gray_edge_exists(t) == ["no gray edge"]
