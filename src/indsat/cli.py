@@ -217,6 +217,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of text to stdout, so that a reader that closed it early
+    raises BrokenPipeError.
+
+    An unbuffered binary layer (``python -u``) may take part of a write,
+    and the text layer drops the count, so the bytes go through
+    ``sys.stdout.buffer`` until every one is taken.  A stdout without a
+    binary layer (an ``io.StringIO``) takes the text as it is.
+    """
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.write(text)
+        return
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[out.write(data) :]
+    out.flush()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -239,8 +259,7 @@ def main(argv=None) -> int:
         elif args.out:
             Path(args.out).write_text(output, encoding="utf-8")
             output = ""
-        sys.stdout.write(output)
-        sys.stdout.flush()
+        _write_stdout(output)
         return code
     except BrokenPipeError:
         # the reader closed stdout early; the exit-time flush must not raise again

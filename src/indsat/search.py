@@ -27,15 +27,21 @@ arrays built once per search.  Gray counts are taken in ascending order,
 and at each count the kernel runs on one gray set per isomorphism class
 of graphs with that many edges.  The classes are grown by augmentation:
 add each free pair to every representative of the previous level and
-keep the canonical image, all of one representative's extensions in one
+keep the least image, all of one representative's extensions in one
 (permutations x free pairs) array (``_augment``).  Relabelling maps
 saturated trigraphs to saturated ones, so every witness class has a
-member whose gray set is its class representative; only the rows the
-kernel returns take a canonical form, all rows of one gray set in one
-pass (``_canonical_keys``): the least key is reached only at the
-permutations that give the least gray image, so the rows' black masks
-take their least images under those alone.  So each level gives every
-witness class with k gray pairs exactly once, as a canonical key.
+member whose gray set is its class representative.
+
+Each gray set's automorphisms are found once (``_automorphisms``), as
+pair-table columns, and serve both symmetry steps.  Those among the
+first (n-1)! columns, the ones that fix vertex n-1, are found for every
+gray set and give the screen's G_j.  The rest are found only when the
+kernel returns rows, and then all rows of the gray set take their
+canonical form in one pass (``_least_blacks``).  A representative is its
+own least image, so the least (gray image, black image) is reached
+exactly at its automorphisms: the form is the gray set itself and the
+black mask's least image under them.  So each level gives every witness
+class with k gray pairs exactly once, as a (gray, black) pair.
 
 One level loop (``_levels``) serves three callers: ``isat_min`` stops at
 the first gray count with a witness, which is therefore the exact
@@ -49,9 +55,9 @@ pair-major, and the first j! columns are exactly the permutations that
 fix vertices j..n-1.  A mask's images OR whole rows (``_mask_images``);
 any set of columns, sliced to the first C(j,2) rows for a prefix, is the
 images matrix that ``dnf._least_images`` and the screen's orbit steps
-read; and G_j is the gray graph's automorphisms among the first j!
-columns.  The n=8 table is 8.6 MiB, filled in column slices, so building
-it adds little memory beyond its own.
+read; and G_j is the automorphisms whose column index is below j!.  The
+n=8 table is 8.6 MiB, filled in column slices, so building it adds
+little memory beyond its own.
 
 A deliberately simple sweep over all 3^C(n,2) trigraphs, with no
 symmetry reduction or filtering, is kept as the agreement oracle.
@@ -184,9 +190,8 @@ class SearchResult:
         }
 
 
-def _keys_to_forms(n: int, keys: set[int]) -> list[CanonicalForm]:
-    m = pair_count(n)
-    return sorted(CanonicalForm(n, key >> m, key & ((1 << m) - 1)) for key in keys)
+def _keys_to_forms(n: int, keys: set[tuple[int, int]]) -> list[CanonicalForm]:
+    return sorted(CanonicalForm(n, gray, black) for gray, black in keys)
 
 
 # -- the search: the DNF kernel over gray-graph classes -----------------
@@ -221,48 +226,25 @@ def _augment(n: int, reps: list[int]) -> list[int]:
     return sorted(out)
 
 
-def _canonical_keys(n: int, gray: int, blacks: np.ndarray) -> list[int]:
-    """``canonical_key`` of each trigraph with this gray set and a black mask in blacks.
-
-    The least key (gray image << m) | black image is reached only at the
-    permutations that give the least gray image, so the black masks take
-    their least images under those alone: exact int64 products
-    (``dnf._least_images``) with the pair table's columns for those
-    permutations, in slices of at most ``_ORBIT_BLOCK // m`` columns.
-    """
+def _automorphisms(n: int, gray: int, lo: int, hi: int) -> np.ndarray:
+    """The pair table's columns lo..hi-1 that map the gray set onto itself, ascending."""
     import numpy as np
 
-    m = pair_count(n)
-    table = _perm_pair_table(n)
-    images = _mask_images(table, gray)
-    least_gray = int(images.min())
-    perms = np.flatnonzero(images == least_gray)
-    step = max(1, _ORBIT_BLOCK // max(1, m))
-    black = np.minimum.reduce(
-        [
-            _least_images(blacks, table[:, perms[lo : lo + step]])
-            for lo in range(0, perms.size, step)
-        ]
-    )
-    return (np.int64(least_gray << m) | black).tolist()
+    images = _mask_images(_perm_pair_table(n)[:, lo:hi], gray)
+    return lo + np.flatnonzero(images == gray)
 
 
-def _prefix_groups(n: int, gray: int) -> list[tuple[int, np.ndarray]]:
+def _prefix_groups(n: int, autos: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """The screen's orbit steps for one gray set: (C(j,2), images) per prefix 0..j-1.
 
-    G_j holds the automorphisms of the gray graph that fix vertices
-    j..n-1: the automorphisms among the pair table's first (n-1)! columns,
-    the permutations that fix n-1, whose column index is below j!.  Each
-    maps the pairs inside the prefix onto themselves, so ``images`` is the
+    ``autos`` holds the gray graph's automorphisms among the pair table's
+    first (n-1)! columns, the permutations that fix n-1.  G_j is those
+    whose column index is below j!, the ones that fix j..n-1.  Each maps
+    the pairs inside the prefix onto themselves, so ``images`` is the
     table's first C(j,2) rows at G_j's columns, ``images[i, g]`` = 2^(g(i)).
     Steps run for 3 <= j < n, and only where G_j is not trivial.
     """
-    import numpy as np
-
-    if n < 4:  # no step; n = 0 has no vertex n-1 to fix
-        return []
     table = _perm_pair_table(n)
-    autos = np.flatnonzero(_mask_images(table[:, : factorial(n - 1)], gray) == gray)
     steps = []
     for j in range(n - 1, 2, -1):  # G_j shrinks as j falls: stop at the first trivial one
         autos = autos[autos < factorial(j)]
@@ -272,19 +254,39 @@ def _prefix_groups(n: int, gray: int) -> list[tuple[int, np.ndarray]]:
     return steps[::-1]
 
 
-def _levels(n: int, h: PatternGraph, k_max: int) -> Iterator[tuple[dict, set[int]]]:
+def _least_blacks(n: int, autos: np.ndarray, blacks: np.ndarray) -> list[int]:
+    """Each black mask's least image under the permutations (pair-table columns) autos.
+
+    When autos are all the automorphisms of a gray set that is its own
+    least image, ``canonical_key`` of each trigraph is that gray set and
+    this black image.  The images are exact int64 products
+    (``dnf._least_images``) with slices of at most ``_ORBIT_BLOCK // m``
+    columns.
+    """
+    import numpy as np
+
+    table = _perm_pair_table(n)
+    step = max(1, _ORBIT_BLOCK // max(1, pair_count(n)))
+    slices = (table[:, autos[lo : lo + step]] for lo in range(0, autos.size, step))
+    return np.minimum.reduce([_least_images(blacks, images) for images in slices]).tolist()
+
+
+def _levels(n: int, h: PatternGraph, k_max: int) -> Iterator[tuple[dict, set[tuple[int, int]]]]:
     """The search's gray levels k = 0..k_max: each level's stats and canonical keys.
 
-    The keys are those of every induced-h-saturated trigraph with exactly k
-    gray pairs, one per isomorphism class.  The stats are the gray-set
-    classes run through the kernel, the saturated rows it returned
-    (orbit-reduced, so fewer than the labelled colorings), the most rows
-    one screen held, their distinct witness classes and the level's
-    seconds.
+    The keys are the (gray, black) canonical forms of every
+    induced-h-saturated trigraph with exactly k gray pairs, one per
+    isomorphism class.  The stats are the gray-set classes run through
+    the kernel, the saturated rows it returned (orbit-reduced, so fewer
+    than the labelled colorings), the most rows one screen held, their
+    distinct witness classes and the level's seconds.
     """
+    import numpy as np
+
     m = pair_count(n)
     clauses = _clause_arrays(DnfFormula(m, induced_placements(n, h)))
     full = (1 << m) - 1
+    fixed, count = factorial(max(n - 1, 0)), factorial(n)  # the columns below fixed fix n-1
     reps = [0]
     for k in range(k_max + 1):
         level_start = time.perf_counter()
@@ -293,12 +295,14 @@ def _levels(n: int, h: PatternGraph, k_max: int) -> Iterator[tuple[dict, set[int
         rows, peak, keys = 0, 0, set()
         for gray in reps:
             assigned = full & ~gray
-            true, grouped, held = _screen(clauses, assigned, _prefix_groups(n, gray))
+            autos = _automorphisms(n, gray, 0, fixed)
+            true, grouped, held = _screen(clauses, assigned, _prefix_groups(n, autos))
             peak = max(peak, held)
             blacks = _covered(true, grouped, assigned)
             if blacks.size:
                 rows += blacks.size
-                keys.update(_canonical_keys(n, gray, blacks))
+                autos = np.concatenate((autos, _automorphisms(n, gray, fixed, count)))
+                keys.update((gray, black) for black in _least_blacks(n, autos, blacks))
         level = {
             "k": k,
             "gray_classes": len(reps),

@@ -414,19 +414,23 @@ def test_pretty_flag_emits_indented_json(capsys):
 
 
 def test_closed_stdout_exits_1_without_an_error_line():
-    """A reader that stops early is no bad file: exit 1, nothing on stderr."""
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)  # an unbuffered stdout drops a cut write silently
+    """A reader that stops early is no bad file: exit 1, nothing on stderr,
+    with a buffered stdout and with an unbuffered one alike."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     # about 110 kB: more than the pipe holds, so the write is cut by the close
     argv = ["encode", "--n", "8", "--pattern", "p5"]
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from indsat.cli import main; sys.exit(main())", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline() == b"dnf 28 3360\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (1, b"")
+    for unbuffered in (None, "1"):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from indsat.cli import main; sys.exit(main())", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"dnf 28 3360\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b""), unbuffered

@@ -20,7 +20,8 @@ from indsat.saturation import is_indsat
 from indsat.search import (
     CanonicalForm,
     _augment,
-    _canonical_keys,
+    _automorphisms,
+    _least_blacks,
     _perm_pair_table,
     _prefix_groups,
     all_indsat_witnesses,
@@ -83,12 +84,33 @@ def test_perm_pair_table_matches_double_loop(n):
     assert table.tolist() == expected
 
 
+def _least_gray(n, gray):
+    """The gray set's least image, the representative the search runs."""
+    return canonical_key(Trigraph(n, 0, gray)) >> pair_count(n)
+
+
+def _stabiliser(n, gray):
+    """The gray graph's automorphisms that fix n-1, as pair-table columns."""
+    return _automorphisms(n, gray, 0, factorial(n - 1))
+
+
+def _canonical_keys(n, gray, blacks):
+    """canonical_key of each trigraph (gray, black) as the search finds it: the
+    automorphisms in two column ranges, (n-1)! and the rest, then one pass."""
+    autos = np.concatenate(
+        (_stabiliser(n, gray), _automorphisms(n, gray, factorial(n - 1), factorial(n)))
+    )
+    least = _least_blacks(n, autos, np.array(blacks, dtype=np.int64))
+    return [gray << pair_count(n) | black for black in least]
+
+
 @st.composite
 def gray_sets_with_black_rows(draw):
-    """n <= 7, a gray set and up to six black masks on the other pairs."""
+    """n <= 7, a gray set that is its own least image and up to six black
+    masks on the other pairs."""
     n = draw(st.integers(2, 7))
     m = pair_count(n)
-    gray = draw(st.integers(0, (1 << m) - 1))
+    gray = _least_gray(n, draw(st.integers(0, (1 << m) - 1)))
     blacks = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=6))
     return n, gray, [black & ~gray for black in blacks]
 
@@ -98,38 +120,39 @@ def gray_sets_with_black_rows(draw):
 ASYMMETRIC_GRAY_N7 = sum(
     1 << pair_index(u, v) for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)]
 )
+ASYMMETRIC_LEAST_N7 = _least_gray(7, ASYMMETRIC_GRAY_N7)
 
 
 @settings(max_examples=60, deadline=None)
 @given(gray_sets_with_black_rows())
-@example((7, ASYMMETRIC_GRAY_N7, [b & ~ASYMMETRIC_GRAY_N7 for b in (0, 6, 12345, (1 << 21) - 1)]))
+@example((7, ASYMMETRIC_LEAST_N7, [b & ~ASYMMETRIC_LEAST_N7 for b in (0, 6, 12345, (1 << 21) - 1)]))
 def test_canonical_keys_of_a_gray_set_match_canonical_key(case):
     """One pass per gray set gives each row the key canonical_key gives it, also
     with the permutations and the rows cut into blocks of a few entries."""
     n, gray, blacks = case
     expected = [canonical_key(Trigraph(n, black, gray)) for black in blacks]
-    assert _canonical_keys(n, gray, np.array(blacks, dtype=np.int64)) == expected
+    assert _canonical_keys(n, gray, blacks) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_ORBIT_BLOCK", 64)
         mp.setattr(dnf, "_ORBIT_BLOCK", 64)
-        assert _canonical_keys(n, gray, np.array(blacks, dtype=np.int64)) == expected
+        assert _canonical_keys(n, gray, blacks) == expected
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_canonical_keys_match_canonical_key_exhaustively(n):
-    """Every gray set at n=4, and at n=5 every set of up to two gray pairs
-    (the empty one keeps all 120 permutations), with all their black masks."""
+    """Every gray set that is its own least image (one per class: 11 at n=4,
+    34 at n=5), with all its black masks."""
     m = pair_count(n)
-    for gray in range(1 << m):
-        if n == 5 and gray.bit_count() > 2:
-            continue
+    grays = [gray for gray in range(1 << m) if _least_gray(n, gray) == gray]
+    assert len(grays) == {4: 11, 5: 34}[n]
+    for gray in grays:
         blacks = [black for black in range(1 << m) if not black & gray]
         expected = [canonical_key(Trigraph(n, black, gray)) for black in blacks]
-        assert _canonical_keys(n, gray, np.array(blacks, dtype=np.int64)) == expected
+        assert _canonical_keys(n, gray, blacks) == expected
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_ORBIT_BLOCK", 64)
             mp.setattr(dnf, "_ORBIT_BLOCK", 64)
-            assert _canonical_keys(n, gray, np.array(blacks, dtype=np.int64)) == expected
+            assert _canonical_keys(n, gray, blacks) == expected
 
 
 def _augment_by_canonical_key(n, reps):
@@ -235,6 +258,39 @@ def test_witnesses_are_saturated_with_min_gray():
         t = w.to_trigraph()
         assert t.gray_count == res.min_gray
         assert is_indsat(t, P4).is_indsat
+
+
+@pytest.mark.parametrize(
+    "n, h", [(6, P4), (7, P4), (8, P4), (7, C4), (7, K3)], ids=["p4-6", "p4-7", "p4-8", "c4-7", "k3-7"]
+)
+def test_witnesses_are_their_public_canonical_forms(n, h):
+    """The search's (gray, black) keys are the forms canonical_form gives."""
+    witnesses = isat_min(n, h).witnesses
+    assert witnesses
+    assert witnesses == [canonical_form(w.to_trigraph()) for w in witnesses]
+
+
+def test_all_witnesses_are_their_public_canonical_forms():
+    witnesses = all_indsat_witnesses(6, P4)
+    assert len(witnesses) == 31
+    assert witnesses == [canonical_form(w.to_trigraph()) for w in witnesses]
+
+
+def test_each_gray_class_reads_each_table_column_once(monkeypatch):
+    """Every class reads the (n-1)! columns that fix n-1; only a class with
+    saturated rows reads the rest, and no class reads a column twice."""
+    reads = defaultdict(list)
+
+    def recording(n, gray, lo, hi):
+        reads[gray].append((lo, hi))
+        return _automorphisms(n, gray, lo, hi)
+
+    monkeypatch.setattr(search, "_automorphisms", recording)
+    levels = isat_min(6, P4).stats["levels"]
+    assert len(reads) == sum(level["gray_classes"] for level in levels)
+    assert all(ranges in ([(0, 120)], [(0, 120), (120, 720)]) for ranges in reads.values())
+    read_all = [gray for gray, ranges in reads.items() if len(ranges) == 2]
+    assert read_all and all(gray.bit_count() == levels[-1]["k"] for gray in read_all)
 
 
 def test_isat_min_k3():
@@ -397,7 +453,7 @@ def test_orbit_steps_keep_a_subset_with_every_class(h, case):
     gray = sum(1 << i for i in pairs)
     clauses = _clause_arrays(encode_pattern(n, h))
     assigned = ((1 << pair_count(n)) - 1) & ~gray
-    reduced = _screen(clauses, assigned, _prefix_groups(n, gray))[0].tolist()
+    reduced = _screen(clauses, assigned, _prefix_groups(n, _stabiliser(n, gray)))[0].tolist()
     full = _screen(clauses, assigned)[0].tolist()
     assert set(reduced) <= set(full)
     keys = {canonical_key(Trigraph(n, black, gray)) for black in reduced}
@@ -443,7 +499,7 @@ def test_prefix_groups_are_the_fixing_automorphisms(case):
         if len(expected[j]) == 1:
             break
         js.append(j)
-    steps = _prefix_groups(n, gray)
+    steps = _prefix_groups(n, _stabiliser(n, gray))
     assert [b for b, _ in steps] == [pair_count(j) for j in reversed(js)]
     for (b, images), j in zip(steps, reversed(js)):
         columns = [tuple(column) for column in images.T.tolist()]
